@@ -400,7 +400,11 @@ def _load_run_dir(run_dir: Path) -> tuple[Graph, np.ndarray, object, dict, np.nd
     graph = load_graph(run_dir / "nodes.tsv", run_dir / "edges.tsv")
     features = load_matrix(run_dir / "features.bin")
     params = load_checkpoint(run_dir / "checkpoint.bin")
-    config = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+    try:
+        config = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+        seed = int(config["seed"])
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"{run_dir / 'config.json'}: malformed run config ({exc})") from None
     if features.shape[0] != graph.num_nodes:
         raise DataError(
             f"features/graph mismatch: {features.shape[0]} rows vs {graph.num_nodes} nodes"
@@ -420,12 +424,17 @@ def _load_run_dir(run_dir: Path) -> tuple[Graph, np.ndarray, object, dict, np.nd
             parts = line.split("\t")
             if len(parts) != 3:
                 raise DataError(f"assignment.tsv line {lineno}: expected 3 fields")
-            j, split_name, label = int(parts[0]), parts[1], int(parts[2])
+            try:
+                j, split_name, label = int(parts[0]), parts[1], int(parts[2])
+            except ValueError:
+                raise DataError(f"assignment.tsv line {lineno}: node id and label must be integers") from None
+            if not 0 <= j < graph.num_nodes:
+                raise DataError(f"assignment.tsv line {lineno}: node id {j} out of range")
             if split_name not in splits:
                 raise DataError(f"assignment.tsv line {lineno}: unknown split {split_name!r}")
             assignment[j] = splits[split_name]
             labels[j] = label
-    return graph, features, params, config, labels, SplitAssignment(assignment, int(config["seed"]))
+    return graph, features, params, config, labels, SplitAssignment(assignment, seed)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

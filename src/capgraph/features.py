@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .graph import Graph, tokenize
+from .models import _sigmoid
 from .seng import AugmentedGraph
 
 FEATURE_DIM = 3
@@ -54,15 +55,6 @@ def build_neighbor_paragraphs(graph: Graph | AugmentedGraph) -> dict[int, list[s
     return paragraphs
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def train_paragraph_vectors(
     paragraphs: Mapping[int, Sequence[str]],
     dim: int = 64,
@@ -77,6 +69,13 @@ def train_paragraph_vectors(
     of its (paragraph, word) pairs plus `negatives` noise words per pair into
     a single update; the learning rate decays linearly over visits. Empty
     paragraphs are skipped and map to the zero vector.
+
+    Noise words are drawn by inverse-CDF search over the unigram^0.75 table
+    (the algorithm of `Generator.choice(p=...)`), one epoch's draws at a
+    time. The word-vector update is scattered element by element through
+    the flattened matrix, so each element receives its additions in target
+    order. The vectors grow large enough that any other rounding changes
+    the features downstream (see README, FA and float rounding).
     """
     if dim < 2:
         raise DataError("embedding width must be >= 2")
@@ -95,32 +94,43 @@ def train_paragraph_vectors(
         np.add.at(counts, ids, 1.0)
     noise = counts ** 0.75
     noise /= noise.sum()
+    noise_cdf = noise.cumsum()
+    noise_cdf /= noise_cdf[-1]
 
     rng = np.random.default_rng(seed)
     vectors = rng.uniform(-0.5 / dim, 0.5 / dim, size=(len(keys), dim))
     word_out = np.zeros((len(vocab), dim), dtype=np.float64)
+    word_out_flat = word_out.reshape(-1)  # a view: scattering into it updates word_out
+    flat_rows = np.arange(word_out.size).reshape(word_out.shape)  # flat index of each element
     for row, ids in enumerate(encoded):
         if ids.size == 0:
             vectors[row] = 0.0
 
     nonempty = [r for r, ids in enumerate(encoded) if ids.size]
+    epoch_tokens = sum(encoded[r].size for r in nonempty)
     total_visits = epochs * len(nonempty)
     min_alpha = learning_rate * 1e-4
     visit = 0
     for _ in range(epochs):
+        # one epoch's noise draws at once: the generator yields the same
+        # stream as one (k, negatives) draw per visit
+        draws = noise_cdf.searchsorted(rng.random((epoch_tokens, negatives)), side="right")
+        offset = 0
         for row in nonempty:
             alpha = max(min_alpha, learning_rate * (1.0 - visit / total_visits))
             visit += 1
             pos = encoded[row]
-            neg = rng.choice(len(vocab), size=(pos.size, negatives), p=noise)
+            neg = draws[offset:offset + pos.size]
+            offset += pos.size
             keep = neg != pos[:, None]  # drop negatives that collide with their positive
             targets = np.concatenate([pos, neg[keep]])
-            labels = np.concatenate([np.ones(pos.size), np.zeros(int(keep.sum()))])
+            labels = np.zeros(targets.size)
+            labels[:pos.size] = 1.0
             v = vectors[row]
             u = word_out[targets]
             g = alpha * (labels - _sigmoid(u @ v))
             dv = g @ u
-            np.add.at(word_out, targets, g[:, None] * v[None, :])
+            np.add.at(word_out_flat, flat_rows[targets].reshape(-1), (g[:, None] * v).reshape(-1))
             vectors[row] = v + dv
     return vectors
 
@@ -139,12 +149,22 @@ def default_perplexity(n: int) -> float:
     return min(30.0, (n - 1) / 3.0 - 1e-9)
 
 
-def _squared_distances(x: np.ndarray) -> np.ndarray:
+def _squared_distances(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances into the n x n `out`, with `work` as scratch.
+
+    Evaluated as (|x_i|^2 + |x_j|^2) - 2 (x x^T) in that order, clipped at
+    zero, zero diagonal. t-SNE amplifies rounding differences, so the order,
+    and `x @ x.T` rather than `(2x) @ x.T` (a different BLAS kernel), are
+    part of the result.
+    """
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
+    np.add(sq[:, None], sq[None, :], out=out)
+    np.matmul(x, x.T, out=work)
+    np.multiply(work, 2.0, out=work)
+    np.subtract(out, work, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def conditional_affinities(f1: np.ndarray, perplexity: float) -> np.ndarray:
@@ -155,20 +175,22 @@ def conditional_affinities(f1: np.ndarray, perplexity: float) -> np.ndarray:
         raise DataError(f"t-SNE needs at least 4 points, got {n}")
     if perplexity <= 0 or perplexity >= (n - 1) / 3.0:
         raise NumericError(f"perplexity {perplexity} infeasible for n={n}")
-    d2 = _squared_distances(np.asarray(f1, dtype=np.float64))
+    d2 = np.empty((n, n))
+    w = np.empty((n, n))
+    work = np.empty((n, n))
+    _squared_distances(np.asarray(f1, dtype=np.float64), d2, work)
     target_entropy = np.log(perplexity)
 
     beta = np.ones(n)
     beta_min = np.full(n, -np.inf)
     beta_max = np.full(n, np.inf)
-    eye = np.eye(n, dtype=bool)
-    p = np.zeros((n, n))
     for _ in range(64):
-        w = np.exp(-d2 * beta[:, None])
-        w[eye] = 0.0
+        np.multiply(d2, -beta[:, None], out=w)
+        np.exp(w, out=w)
+        np.fill_diagonal(w, 0.0)
         sum_w = np.maximum(w.sum(axis=1), 1e-300)
-        p = w / sum_w[:, None]
-        entropy = np.log(sum_w) + beta * np.sum(d2 * w, axis=1) / sum_w
+        np.multiply(d2, w, out=work)
+        entropy = np.log(sum_w) + beta * work.sum(axis=1) / sum_w
         diff = entropy - target_entropy
         too_high = diff > 0  # entropy too large -> increase precision
         beta_min = np.where(too_high, beta, beta_min)
@@ -179,31 +201,20 @@ def conditional_affinities(f1: np.ndarray, perplexity: float) -> np.ndarray:
         beta = np.where(np.isfinite(beta), beta, 1.0)
         if np.all(np.abs(diff) < 1e-7):
             break
-    return p
+    # the affinities of the last bandwidths tried, normalised in place
+    return np.divide(w, sum_w[:, None], out=w)
 
 
 def joint_affinities(f1: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized joint distribution P = (Pc + Pc.T) / 2n, floored away from 0."""
     pc = conditional_affinities(f1, perplexity)
-    p = (pc + pc.T) / (2.0 * pc.shape[0])
-    return np.maximum(p, _P_FLOOR)
+    p = pc + pc.T
+    p /= 2.0 * pc.shape[0]
+    return np.maximum(p, _P_FLOOR, out=p)
 
 
 def initial_embedding(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((n, 2)) * 1e-4
-
-
-def _student_t_kernel(y: np.ndarray) -> np.ndarray:
-    num = 1.0 / (1.0 + _squared_distances(y))
-    np.fill_diagonal(num, 0.0)
-    return num
-
-
-def kl_divergence(p: np.ndarray, y: np.ndarray) -> float:
-    """KL(P || Q) for a candidate embedding, from the affinity definitions."""
-    num = _student_t_kernel(y)
-    q = np.maximum(num / num.sum(), _P_FLOOR)
-    return float(np.sum(p * np.log(p / q)))
 
 
 def reduce_to_plane(
@@ -217,7 +228,9 @@ def reduce_to_plane(
 
     Gradient descent with momentum (0.5, then 0.8 after iteration 250),
     per-coordinate gain adaptation, and x12 early exaggeration for the
-    first 100 iterations. Deterministic for a fixed seed.
+    first 100 iterations. Deterministic for a fixed seed. Besides P (and
+    its exaggerated copy during the first 100 iterations) the loop holds
+    two n x n buffers: the Student-t kernel and the (P - Q) * kernel term.
     """
     f1 = np.asarray(f1, dtype=np.float64)
     n = f1.shape[0]
@@ -228,11 +241,20 @@ def reduce_to_plane(
     y = initial_embedding(n, seed)
     update = np.zeros_like(y)
     gains = np.ones_like(y)
+    num = np.empty((n, n))
+    pq = np.empty((n, n))
+    p_eff = p * _EXAGGERATION
     for it in range(iterations):
-        p_eff = p * _EXAGGERATION if it < _EXAGGERATION_ITERS else p
-        num = _student_t_kernel(y)
-        q = np.maximum(num / num.sum(), _P_FLOOR)
-        pq = (p_eff - q) * num
+        if it == _EXAGGERATION_ITERS:
+            p_eff = p  # releases the exaggerated copy
+        _squared_distances(y, num, pq)
+        np.add(num, 1.0, out=num)
+        np.divide(1.0, num, out=num)
+        np.fill_diagonal(num, 0.0)
+        np.divide(num, num.sum(), out=pq)  # q
+        np.maximum(pq, _P_FLOOR, out=pq)
+        np.subtract(p_eff, pq, out=pq)
+        np.multiply(pq, num, out=pq)
         grad = 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
 
         momentum = 0.5 if it < _MOMENTUM_SWITCH_ITER else 0.8
@@ -297,7 +319,10 @@ def load_matrix(path: Path | str) -> np.ndarray:
         magic = fh.read(4)
         if magic != _MATRIX_MAGIC:
             raise DataError(f"{path}: not a capgraph matrix file")
-        rows, cols, width = struct.unpack("<III", fh.read(12))
+        header = fh.read(12)
+        if len(header) != 12:
+            raise DataError(f"{path}: truncated matrix header")
+        rows, cols, width = struct.unpack("<III", header)
         if width != 8:
             raise DataError(f"{path}: unsupported element width {width}")
         payload = fh.read(rows * cols * 8)

@@ -29,12 +29,10 @@ _KIND_NAMES = {v: k for k, v in _KIND_BYTES.items()}
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: 1 / (1 + e^-z) for z >= 0 and
+    e^z / (1 + e^z) below, both from e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -775,17 +773,24 @@ def save_checkpoint(params: ModelParameters, path: Path | str) -> None:
                 fh.write(np.ascontiguousarray(w, dtype=np.float64).tobytes())
 
 
+def _read_exact(fh, size: int, path: Path | str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise DataError(f"{path}: truncated checkpoint header")
+    return data
+
+
 def load_checkpoint(path: Path | str) -> ModelParameters:
     with Path(path).open("rb") as fh:
         if fh.read(4) != _CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a capgraph checkpoint")
-        kind_byte, flags, _, _ = struct.unpack("<BBBB", fh.read(4))
+        kind_byte, flags, _, _ = struct.unpack("<BBBB", _read_exact(fh, 4, path))
         if kind_byte not in _KIND_NAMES:
             raise DataError(f"{path}: unknown model kind byte {kind_byte}")
-        (d_hidden,) = struct.unpack("<I", fh.read(4))
+        (d_hidden,) = struct.unpack("<I", _read_exact(fh, 4, path))
         mats: list[np.ndarray | None] = []
         for _ in range(3):
-            rows, cols = struct.unpack("<II", fh.read(8))
+            rows, cols = struct.unpack("<II", _read_exact(fh, 8, path))
             if rows == 0 and cols == 0:
                 mats.append(None)
                 continue

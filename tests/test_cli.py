@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,52 @@ def test_eval_reproduces_metrics(planted_dir, tmp_path, capsys):
     evald = json.loads((out / "eval.json").read_text())
     assert evald["auc_roc"] == pytest.approx(report["auc_roc"])
     assert "auc_roc" in printed
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("trained")
+    data = root / "data"
+    assert main([
+        "gen-planted", "--manufacturers", "80", "--services-per-category", "6",
+        "--clusters", "3", "--capable-fraction", "0.25", "--signal", "1.0",
+        "--noise", "0.0", "--seed", "5", "--out", str(data),
+    ]) == 0
+    assert _train(data, root / "run") == 0
+    return root / "run"
+
+
+def _eval_damaged(trained_run: Path, tmp_path: Path, name: str, damage) -> int:
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    path = run / name
+    path.write_bytes(damage(path.read_bytes()))
+    return main(["eval", "--run-dir", str(run)])
+
+
+def test_eval_truncated_checkpoint_header_exit_2(trained_run, tmp_path, capsys):
+    assert _eval_damaged(trained_run, tmp_path, "checkpoint.bin", lambda b: b[:10]) == 2
+    assert "truncated checkpoint header" in capsys.readouterr().err
+
+
+def test_eval_truncated_features_header_exit_2(trained_run, tmp_path, capsys):
+    assert _eval_damaged(trained_run, tmp_path, "features.bin", lambda b: b[:10]) == 2
+    assert "truncated matrix header" in capsys.readouterr().err
+
+
+def test_eval_non_integer_assignment_exit_2(trained_run, tmp_path, capsys):
+    assert _eval_damaged(trained_run, tmp_path, "assignment.tsv", lambda b: b"x" + b) == 2
+    assert "must be integers" in capsys.readouterr().err
+
+
+def test_eval_out_of_range_assignment_exit_2(trained_run, tmp_path, capsys):
+    assert _eval_damaged(trained_run, tmp_path, "assignment.tsv", lambda b: b"99999\ttrain\t1\n" + b) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_eval_malformed_config_exit_2(trained_run, tmp_path, capsys):
+    assert _eval_damaged(trained_run, tmp_path, "config.json", lambda b: b[: len(b) // 2]) == 2
+    assert "malformed run config" in capsys.readouterr().err
 
 
 def test_predict_known_and_unknown(planted_dir, tmp_path, capsys):

@@ -12,7 +12,6 @@ from capgraph.features import (
     initial_embedding,
     integrate_features,
     joint_affinities,
-    kl_divergence,
     load_matrix,
     reduce_to_plane,
     save_matrix,
@@ -26,9 +25,146 @@ from capgraph.graph import (
     service,
     stratified_split,
 )
+from capgraph.models import _sigmoid
 from capgraph.seng import SengConfig, oversample
 
 from conftest import small_mixed_graph
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the straightforward loops the library's buffered versions must
+# reproduce bit for bit. FA features are chaotic in float rounding (t-SNE
+# turns a one-ulp input difference into O(1) within 80 iterations), so a
+# speed-up of these loops has to keep every operation and its order.
+# ---------------------------------------------------------------------------
+
+
+def _sigmoid_oracle(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _pv_oracle(paragraphs, dim, epochs, learning_rate=0.025, negatives=5, seed=0):
+    keys = list(paragraphs)
+    token_lists = [list(paragraphs[k]) for k in keys]
+    vocab = sorted({tok for toks in token_lists for tok in toks})
+    index = {tok: i for i, tok in enumerate(vocab)}
+    counts = np.zeros(len(vocab), dtype=np.float64)
+    encoded = []
+    for toks in token_lists:
+        ids = np.array([index[t] for t in toks], dtype=np.int64)
+        encoded.append(ids)
+        np.add.at(counts, ids, 1.0)
+    noise = counts ** 0.75
+    noise /= noise.sum()
+
+    rng = np.random.default_rng(seed)
+    vectors = rng.uniform(-0.5 / dim, 0.5 / dim, size=(len(keys), dim))
+    word_out = np.zeros((len(vocab), dim), dtype=np.float64)
+    for row, ids in enumerate(encoded):
+        if ids.size == 0:
+            vectors[row] = 0.0
+
+    nonempty = [r for r, ids in enumerate(encoded) if ids.size]
+    total_visits = epochs * len(nonempty)
+    min_alpha = learning_rate * 1e-4
+    visit = 0
+    for _ in range(epochs):
+        for row in nonempty:
+            alpha = max(min_alpha, learning_rate * (1.0 - visit / total_visits))
+            visit += 1
+            pos = encoded[row]
+            neg = rng.choice(len(vocab), size=(pos.size, negatives), p=noise)
+            keep = neg != pos[:, None]
+            targets = np.concatenate([pos, neg[keep]])
+            labels = np.concatenate([np.ones(pos.size), np.zeros(int(keep.sum()))])
+            v = vectors[row]
+            u = word_out[targets]
+            g = alpha * (labels - _sigmoid_oracle(u @ v))
+            dv = g @ u
+            np.add.at(word_out, targets, g[:, None] * v[None, :])
+            vectors[row] = v + dv
+    return vectors
+
+
+def _squared_distances_oracle(x):
+    sq = np.sum(x * x, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def _conditional_affinities_oracle(f1, perplexity):
+    n = f1.shape[0]
+    d2 = _squared_distances_oracle(np.asarray(f1, dtype=np.float64))
+    target_entropy = np.log(perplexity)
+    beta = np.ones(n)
+    beta_min = np.full(n, -np.inf)
+    beta_max = np.full(n, np.inf)
+    eye = np.eye(n, dtype=bool)
+    p = np.zeros((n, n))
+    for _ in range(64):
+        w = np.exp(-d2 * beta[:, None])
+        w[eye] = 0.0
+        sum_w = np.maximum(w.sum(axis=1), 1e-300)
+        p = w / sum_w[:, None]
+        entropy = np.log(sum_w) + beta * np.sum(d2 * w, axis=1) / sum_w
+        diff = entropy - target_entropy
+        too_high = diff > 0
+        beta_min = np.where(too_high, beta, beta_min)
+        beta_max = np.where(~too_high, beta, beta_max)
+        grow = too_high & np.isinf(beta_max)
+        shrink = ~too_high & np.isinf(beta_min)
+        beta = np.where(grow, beta * 2.0, np.where(shrink, beta / 2.0, (beta_min + beta_max) / 2.0))
+        beta = np.where(np.isfinite(beta), beta, 1.0)
+        if np.all(np.abs(diff) < 1e-7):
+            break
+    return p
+
+
+def _joint_affinities_oracle(f1, perplexity):
+    pc = _conditional_affinities_oracle(f1, perplexity)
+    p = (pc + pc.T) / (2.0 * pc.shape[0])
+    return np.maximum(p, 1e-12)
+
+
+def _student_t_kernel_oracle(y):
+    num = 1.0 / (1.0 + _squared_distances_oracle(y))
+    np.fill_diagonal(num, 0.0)
+    return num
+
+
+def _kl_divergence(p, y):
+    """KL(P || Q) for a candidate embedding, from the affinity definitions."""
+    num = _student_t_kernel_oracle(y)
+    q = np.maximum(num / num.sum(), 1e-12)
+    return float(np.sum(p * np.log(p / q)))
+
+
+def _tsne_oracle(f1, perplexity, iterations, learning_rate=200.0, seed=0):
+    p = _joint_affinities_oracle(f1, perplexity)
+    y = initial_embedding(f1.shape[0], seed)
+    update = np.zeros_like(y)
+    gains = np.ones_like(y)
+    for it in range(iterations):
+        p_eff = p * 12.0 if it < 100 else p
+        num = _student_t_kernel_oracle(y)
+        q = np.maximum(num / num.sum(), 1e-12)
+        pq = (p_eff - q) * num
+        grad = 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
+        momentum = 0.5 if it < 250 else 0.8
+        same_sign = np.sign(grad) == np.sign(update)
+        gains = np.where(same_sign, gains * 0.8, gains + 0.2)
+        np.maximum(gains, 0.01, out=gains)
+        update = momentum * update - learning_rate * gains * grad
+        y = y + update
+        y = y - y.mean(axis=0)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +272,34 @@ def test_doc2vec_deterministic():
     assert not np.array_equal(a, c)
 
 
+def test_sigmoid_matches_oracle_bitwise():
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.standard_normal(5000) * 30, [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0,
+                                                         800.0, -800.0, np.inf, -np.inf]])
+    assert _sigmoid(z).tobytes() == _sigmoid_oracle(z).tobytes()
+    assert np.isnan(_sigmoid(np.array([np.nan]))).all()
+    assert _sigmoid(z[:12].reshape(3, 4)).shape == (3, 4)
+
+
+def test_doc2vec_matches_oracle_bitwise():
+    # empty paragraphs, repeated tokens, and a 3-word vocabulary so that most
+    # noise draws collide with their positive and are dropped
+    paragraphs = {
+        0: ["x", "x", "y", "x"],
+        1: [],
+        2: ["y", "z", "z"],
+        3: ["x"],
+        4: [],
+        5: ["z", "z", "z", "z", "y"],
+    }
+    for seed in (0, 3):
+        got = train_paragraph_vectors(paragraphs, dim=7, epochs=6, negatives=4, seed=seed)
+        assert np.array_equal(got, _pv_oracle(paragraphs, dim=7, epochs=6, negatives=4, seed=seed))
+    corpus, _ = _cluster_corpus(seed=2)
+    got = train_paragraph_vectors(corpus, dim=16, epochs=5, seed=8)
+    assert np.array_equal(got, _pv_oracle(corpus, dim=16, epochs=5, seed=8))
+
+
 def _mean_cosines(f1, membership):
     norms = np.linalg.norm(f1, axis=1, keepdims=True)
     unit = f1 / np.maximum(norms, 1e-12)
@@ -189,7 +353,7 @@ def test_tsne_kl_decreases_from_initialization():
     p = joint_affinities(x, perplexity)
     y0 = initial_embedding(x.shape[0], seed=5)
     y = reduce_to_plane(x, perplexity=perplexity, iterations=250, seed=5)
-    assert kl_divergence(p, y) < kl_divergence(p, y0)
+    assert _kl_divergence(p, y) < _kl_divergence(p, y0)
 
 
 def test_tsne_duplicate_rows_colocate():
@@ -210,6 +374,23 @@ def test_tsne_deterministic():
     a = reduce_to_plane(x, iterations=80, seed=11)
     b = reduce_to_plane(x, iterations=80, seed=11)
     assert np.array_equal(a, b)
+
+
+def test_affinities_match_oracle_bitwise():
+    x = _gaussian_blobs(n_per=14, seed=7)
+    x[5] = x[4]  # a zero off-diagonal distance
+    for perplexity in (4.0, default_perplexity(x.shape[0])):
+        assert np.array_equal(joint_affinities(x, perplexity), _joint_affinities_oracle(x, perplexity))
+        assert np.array_equal(conditional_affinities(x, perplexity),
+                              _conditional_affinities_oracle(x, perplexity))
+
+
+def test_tsne_matches_oracle_bitwise():
+    # 260 iterations cross both the exaggeration (100) and momentum (250) switches
+    x = _gaussian_blobs(n_per=14, seed=8)
+    perplexity = default_perplexity(x.shape[0])
+    got = reduce_to_plane(x, iterations=260, seed=2)
+    assert np.array_equal(got, _tsne_oracle(x, perplexity, iterations=260, seed=2))
 
 
 def test_tsne_perplexity_infeasible():
@@ -276,4 +457,12 @@ def test_matrix_bad_magic(tmp_path):
     path = tmp_path / "m.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 12)
     with pytest.raises(DataError, match="not a capgraph matrix"):
+        load_matrix(path)
+
+
+def test_matrix_truncated_header(tmp_path):
+    path = tmp_path / "m.bin"
+    save_matrix(np.ones((2, 2)), path)
+    path.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(DataError, match="truncated matrix header"):
         load_matrix(path)
