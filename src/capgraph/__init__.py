@@ -53,7 +53,6 @@ from .models import (
     adam_step,
     forward,
     gcn_forward,
-    link_score,
     load_checkpoint,
     predict_labels,
     sage_forward,

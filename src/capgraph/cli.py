@@ -440,7 +440,7 @@ def _load_run_dir(run_dir: Path) -> tuple[Graph, np.ndarray, object, dict, np.nd
 def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     graph, features, params, config, labels, split = _load_run_dir(run_dir)
-    probs, _ = forward(features, graph.dense_adjacency(), params)  # type: ignore[arg-type]
+    probs, _ = forward(features, graph, params)  # type: ignore[arg-type]
     test_ids = np.array(split.test_ids, dtype=np.int64)
     roc = auc_roc(probs[test_ids], labels[test_ids])
     pr = auc_pr(probs[test_ids], labels[test_ids])
@@ -489,11 +489,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     graph, features, params, config, _, _ = _load_run_dir(run_dir)
-    threshold = args.threshold if args.threshold is not None else float(config["train"]["threshold"])
+    threshold = args.threshold
+    if threshold is None:
+        try:
+            threshold = float(config["train"]["threshold"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{run_dir / 'config.json'}: malformed run config ({exc!r})") from None
     node_id = graph.find_manufacturer(args.name)
     if node_id is None:
         raise DataError(f"unknown manufacturer {args.name!r}")
-    probs, _ = forward(features, graph.dense_adjacency(), params)  # type: ignore[arg-type]
+    probs, _ = forward(features, graph, params)  # type: ignore[arg-type]
     label = int(predict_labels(probs, threshold)[node_id])
     print(f"{args.name}\t{probs[node_id]:.6f}\t{label}")
     return 0

@@ -12,6 +12,7 @@ classification task, class-imbalance statistics, and stratified splits.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -92,85 +93,168 @@ class Graph:
     """Immutable undirected graph over manufacturer and service nodes.
 
     Construction validates endpoints, rejects self-loops and
-    manufacturer-manufacturer edges, and collapses duplicate edges.
+    manufacturer-manufacturer edges, and collapses duplicate edges. The
+    adjacency is held in CSR form: node u's neighbors are
+    `indices[indptr[u]:indptr[u + 1]]`, in ascending order.
     """
 
-    __slots__ = ("nodes", "neighbors", "num_edges")
+    __slots__ = ("nodes", "is_manufacturer", "indptr", "indices", "num_edges",
+                 "_ids", "_neighbors", "_blocks")
 
-    def __init__(self, nodes: Sequence[NodeKind], edges: Iterable[tuple[int, int]]):
+    def __init__(self, nodes: Sequence[NodeKind], edges: Iterable[tuple[int, int]] | np.ndarray):
         self.nodes: tuple[NodeKind, ...] = tuple(nodes)
         p = len(self.nodes)
-        edge_set: set[tuple[int, int]] = set()
-        for src, dst in edges:
-            if not (0 <= src < p and 0 <= dst < p):
-                raise DataError(f"dangling endpoint in edge ({src}, {dst}); node count is {p}")
-            if src == dst:
-                raise DataError(f"self-loop on node {src}")
-            if self.nodes[src].is_manufacturer and self.nodes[dst].is_manufacturer:
-                raise DataError(f"manufacturer-manufacturer edge ({src}, {dst}) is not allowed")
-            edge_set.add((src, dst) if src < dst else (dst, src))
-        adj: list[list[int]] = [[] for _ in range(p)]
-        for src, dst in edge_set:
-            adj[src].append(dst)
-            adj[dst].append(src)
-        self.neighbors: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(ns)) for ns in adj)
-        self.num_edges: int = len(edge_set)
+        self.is_manufacturer = _frozen(
+            np.fromiter((node.is_manufacturer for node in self.nodes), dtype=bool, count=p)
+        )
+        pairs = edges if isinstance(edges, np.ndarray) else np.array(list(edges), dtype=np.int64)
+        pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
+        _check_edges(pairs, self.is_manufacturer)
+        # each undirected edge once as the key lo * p + hi, sorted and deduplicated
+        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+        keys = np.sort(lo * p + hi)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        lo, hi = np.divmod(keys, p)
+        # both directions as row-major keys row * p + col: sorted, they are the CSR
+        rows, cols = np.divmod(np.sort(np.concatenate([keys, hi * p + lo])), p)
+        self.indices = _frozen(cols)
+        self.indptr = _frozen(np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=p))]))
+        self.num_edges: int = int(keys.size)
+        self._ids: dict[tuple[bool, str], int] = {}
+        for j, node in enumerate(self.nodes):
+            self._ids.setdefault((node.is_manufacturer, node.name), j)
+        self._neighbors: tuple[tuple[int, ...], ...] | None = None
+        self._blocks: tuple[np.ndarray, ...] | None = None
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
+    @property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, the ascending tuple of its neighbor ids."""
+        if self._neighbors is None:
+            flat, bounds = self.indices.tolist(), self.indptr.tolist()
+            self._neighbors = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return self._neighbors
+
     def degree(self, node: int) -> int:
-        return len(self.neighbors[node])
+        return int(self.indptr[node + 1] - self.indptr[node])
+
+    def neighbor_ids(self, node: int) -> np.ndarray:
+        """Node's neighbors as an ascending int64 array (a view of `indices`)."""
+        return self.indices[self.indptr[node] : self.indptr[node + 1]]
+
+    def entry_rows(self) -> np.ndarray:
+        """The row (source node) of every CSR entry, aligned with `indices`."""
+        return np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
+
+    def edge_array(self) -> np.ndarray:
+        """(num_edges, 2) int64 array of the edges (u, v), u < v, in ascending order."""
+        rows = self.entry_rows()
+        upper = rows < self.indices
+        return np.column_stack([rows[upper], self.indices[upper]])
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (u, v) for u in range(self.num_nodes) for v in self.neighbors[u] if u < v
-        )
+        return frozenset(map(tuple, self.edge_array().tolist()))
 
     def iter_edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.num_nodes):
-            for v in self.neighbors[u]:
-                if u < v:
-                    yield u, v
+        return map(tuple, self.edge_array().tolist())
 
     def manufacturer_ids(self) -> list[int]:
-        return [j for j, node in enumerate(self.nodes) if node.is_manufacturer]
+        return np.flatnonzero(self.is_manufacturer).tolist()
 
     def service_ids(self) -> list[int]:
-        return [j for j, node in enumerate(self.nodes) if not node.is_manufacturer]
+        return np.flatnonzero(~self.is_manufacturer).tolist()
 
     def service_neighbors(self, node: int) -> list[int]:
-        return [v for v in self.neighbors[node] if not self.nodes[v].is_manufacturer]
+        ns = self.neighbor_ids(node)
+        return ns[~self.is_manufacturer[ns]].tolist()
 
     def find_service(self, name: str) -> int | None:
-        for j, node in enumerate(self.nodes):
-            if not node.is_manufacturer and node.name == name:
-                return j
-        return None
+        return self._ids.get((False, name))
 
     def find_manufacturer(self, name: str) -> int | None:
-        for j, node in enumerate(self.nodes):
-            if node.is_manufacturer and node.name == name:
-                return j
-        return None
+        return self._ids.get((True, name))
 
     def dense_adjacency(self) -> np.ndarray:
         """Symmetric 0/1 adjacency matrix with zero diagonal, float64."""
         a = np.zeros((self.num_nodes, self.num_nodes), dtype=np.float64)
-        for u in range(self.num_nodes):
-            ns = self.neighbors[u]
-            if ns:
-                a[u, list(ns)] = 1.0
+        a[self.entry_rows(), self.indices] = 1.0
         return a
+
+    def adjacency_blocks(self, keep: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """The adjacency as dense blocks (I, V, B, B_VI, C): manufacturer ids I,
+        service ids V, B = A[I][:, V], B_VI = A[V][:, I] and C = A[V][:, V].
+        There is no manufacturer-manufacturer block, so these hold all of A in
+        n_m*n_s + n_s^2 doubles (B_VI is a view of B.T).
+
+        `keep` (a mask over the CSR entries) restricts A to some entries of
+        each row, a directed adjacency whose B_VI is then held apart. Without
+        it the blocks are built on the first call and kept."""
+        if keep is None and self._blocks is not None:
+            return self._blocks
+        man = self.is_manufacturer
+        rows, cols = self.entry_rows(), self.indices
+        if keep is not None:
+            rows, cols = rows[keep], cols[keep]
+        ids_i, ids_v = np.flatnonzero(man), np.flatnonzero(~man)
+        pos = np.empty(self.num_nodes, dtype=np.int64)
+        pos[ids_i] = np.arange(ids_i.size)
+        pos[ids_v] = np.arange(ids_v.size)
+        from_i, to_i = man[rows], man[cols]
+
+        def block(hit: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+            out = np.zeros(shape)
+            out[pos[rows[hit]], pos[cols[hit]]] = 1.0
+            return _frozen(out)
+
+        n_i, n_v = ids_i.size, ids_v.size
+        b = block(from_i, (n_i, n_v))
+        c = block(~from_i & ~to_i, (n_v, n_v))
+        b_vi = b.T if keep is None else block(~from_i & to_i, (n_v, n_i))
+        blocks = (_frozen(ids_i), _frozen(ids_v), b, b_vi, c)
+        if keep is None:
+            self._blocks = blocks
+        return blocks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.nodes == other.nodes and self.neighbors == other.neighbors
+        return (
+            self.nodes == other.nodes
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.nodes, self.neighbors))
+        return hash((self.nodes, self.indptr.tobytes(), self.indices.tobytes()))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _check_edges(pairs: np.ndarray, is_manufacturer: np.ndarray) -> None:
+    """Raise for the first edge that dangles, is a self-loop, or joins two
+    manufacturers."""
+    p = is_manufacturer.size
+    src, dst = pairs[:, 0], pairs[:, 1]
+    dangling = (src < 0) | (src >= p) | (dst < 0) | (dst >= p)
+    loop = ~dangling & (src == dst)
+    man = np.append(is_manufacturer, False)  # index p: stands in for dangling ends
+    both = man[np.where(dangling, p, src)] & man[np.where(dangling, p, dst)]
+    bad = dangling | loop | both
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    s, d = int(src[k]), int(dst[k])
+    if dangling[k]:
+        raise DataError(f"dangling endpoint in edge ({s}, {d}); node count is {p}")
+    if loop[k]:
+        raise DataError(f"self-loop on node {s}")
+    raise DataError(f"manufacturer-manufacturer edge ({s}, {d}) is not allowed")
 
 
 def init_type_codes(graph: Graph) -> np.ndarray:
@@ -228,24 +312,47 @@ def load_graph(node_file: Path | str, edge_file: Path | str) -> Graph:
         raise DataError(f"node ids must be contiguous 0..{p - 1}")
     nodes = [by_id[j] for j in range(p)]
 
-    edges: list[tuple[int, int]] = []
-    with edge_path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataError(f"edge file line {lineno}: expected 'src<TAB>dst'")
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DataError(f"edge file line {lineno}: bad endpoint") from None
-            if not (0 <= src < p and 0 <= dst < p):
-                raise DataError(f"edge file line {lineno}: dangling endpoint ({src}, {dst})")
-            if src == dst:
-                raise DataError(f"edge file line {lineno}: self-loop on node {src}")
-            edges.append((src, dst))
+    text = edge_path.read_text(encoding="utf-8")
+    edges = _read_edge_table(text)
+    if (
+        edges is None
+        or edges.shape[1] != 2
+        or ((edges < 0) | (edges >= p)).any()
+        or (edges[:, 0] == edges[:, 1]).any()
+    ):
+        edges = _parse_edge_lines(text, p)  # slow, but names the offending line
     return Graph(nodes, edges)
+
+
+def _read_edge_table(text: str) -> np.ndarray | None:
+    """All edge lines as one integer table, or None where numpy's reader
+    rejects the text; `_parse_edge_lines` then finds the offending line."""
+    if not text.strip():
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        return np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+
+
+def _parse_edge_lines(text: str, p: int) -> np.ndarray:
+    edges: list[tuple[int, int]] = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataError(f"edge file line {lineno}: expected 'src<TAB>dst'")
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(f"edge file line {lineno}: bad endpoint") from None
+        if not (0 <= src < p and 0 <= dst < p):
+            raise DataError(f"edge file line {lineno}: dangling endpoint ({src}, {dst})")
+        if src == dst:
+            raise DataError(f"edge file line {lineno}: self-loop on node {src}")
+        edges.append((src, dst))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def write_graph_files(graph: Graph, node_file: Path | str, edge_file: Path | str) -> None:
@@ -255,7 +362,7 @@ def write_graph_files(graph: Graph, node_file: Path | str, edge_file: Path | str
         category = "-" if node.category is None else node.category.value
         node_lines.append(f"{j}\t{node.kind.value}\t{category}\t{node.name}\n")
     Path(node_file).write_text("".join(node_lines), encoding="utf-8")
-    edge_lines = [f"{u}\t{v}\n" for u, v in sorted(graph.edge_set())]
+    edge_lines = [f"{u}\t{v}\n" for u, v in graph.edge_array().tolist()]
     Path(edge_file).write_text("".join(edge_lines), encoding="utf-8")
 
 
@@ -369,18 +476,14 @@ def mask_target(graph: Graph, target: str) -> LabeledTask:
     target_node = graph.nodes[target_id]
 
     # Reindex: nodes above the target shift down by one.
-    remap = {old: (old if old < target_id else old - 1) for old in range(graph.num_nodes) if old != target_id}
-    nodes = [graph.nodes[old] for old in range(graph.num_nodes) if old != target_id]
-    edges = [
-        (remap[u], remap[v])
-        for u, v in graph.iter_edges()
-        if u != target_id and v != target_id
-    ]
-    masked = Graph(nodes, edges)
+    nodes = graph.nodes[:target_id] + graph.nodes[target_id + 1 :]
+    edges = graph.edge_array()
+    edges = edges[(edges != target_id).all(axis=1)]
+    masked = Graph(nodes, edges - (edges > target_id))
 
-    positives = sorted(
-        remap[u] for u in graph.neighbors[target_id] if graph.nodes[u].is_manufacturer
-    )
+    neighbors = graph.neighbor_ids(target_id)
+    neighbors = neighbors[graph.is_manufacturer[neighbors]]
+    positives = (neighbors - (neighbors > target_id)).tolist()
     labels = np.zeros(masked.num_nodes, dtype=np.int64)
     labels[positives] = 1
     removed = tuple((m, target) for m in positives)
@@ -394,9 +497,8 @@ def restore_target(task: LabeledTask) -> tuple[Graph, int]:
     nodes = list(task.graph.nodes)
     target_id = len(nodes)
     nodes.append(service(task.target_name, task.target_category))
-    edges = list(task.graph.iter_edges())
-    edges.extend((m, target_id) for m, _ in task.removed_edges)
-    return Graph(nodes, edges), target_id
+    added = np.array([(m, target_id) for m, _ in task.removed_edges], dtype=np.int64)
+    return Graph(nodes, np.vstack([task.graph.edge_array(), added.reshape(-1, 2)])), target_id
 
 
 @dataclass(frozen=True)

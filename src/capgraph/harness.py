@@ -186,7 +186,7 @@ def run_single(
     bundle = build_features(aug, method.use_fa, pipeline.embedding, pipeline.tsne, seed)
     train_cfg = replace(pipeline.train, seed=seed)
     params, log = train_node_classifier(aug, bundle.features, aug.split, train_cfg, method.encoder)
-    probs, _ = forward(bundle.features, aug.graph.dense_adjacency(), params)
+    probs, _ = forward(bundle.features, aug.graph, params)  # reuses the graph's blocks from training
     test_ids = np.array(aug.split.test_ids, dtype=np.int64)
     result = RepeatResult(
         seed=seed,
@@ -292,21 +292,15 @@ def downsample_to_ratio(task: LabeledTask, target_ratio: float, seed: int = 0) -
     rng = np.random.default_rng(seed)
     removed = set(int(j) for j in rng.choice(np.array(removable), size=to_remove, replace=False))
 
-    remap: dict[int, int] = {}
-    nodes = []
-    for old in range(task.graph.num_nodes):
-        if old in removed:
-            continue
-        remap[old] = len(nodes)
-        nodes.append(task.graph.nodes[old])
-    edges = [
-        (remap[u], remap[v])
-        for u, v in task.graph.iter_edges()
-        if u not in removed and v not in removed
-    ]
-    labels = np.array([task.labels[old] for old in sorted(remap)], dtype=np.int64)
+    kept = np.ones(task.graph.num_nodes, dtype=bool)
+    kept[list(removed)] = False
+    remap = np.cumsum(kept) - 1
+    nodes = [node for node, keep in zip(task.graph.nodes, kept) if keep]
+    edges = task.graph.edge_array()
+    edges = remap[edges[kept[edges].all(axis=1)]]
+    labels = task.labels[kept].astype(np.int64)
     removed_edges = tuple(
-        (remap[m], name) for m, name in task.removed_edges if m not in removed
+        (int(remap[m]), name) for m, name in task.removed_edges if m not in removed
     )
     return LabeledTask(Graph(nodes, edges), labels, task.target_name, task.target_category, removed_edges)
 

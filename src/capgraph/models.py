@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .graph import Graph, SplitAssignment
+from .graph import Graph, SplitAssignment, _largest_remainder
 from .metrics import auc_pr, auc_roc
 from .seng import AugmentedGraph
 
@@ -104,52 +104,120 @@ def init_parameters(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class BlockOperator:
+    """The p x p operator diag(left) (A + loop*I) diag(right), held as the
+    blocks of A = [[0, B], [B_VI, C]] over the ids I and V (rows and columns
+    of A ordered I then V; `Graph.adjacency_blocks`).
+
+    A graph has no manufacturer-manufacturer edges, so with I its
+    manufacturers A is held in n_m*n_s + n_s^2 doubles and `op @ x`,
+    `op.T @ x` cost O((n_m*n_s + n_s^2) d): nothing p x p is formed. A dense
+    p x p matrix is the same operator with I empty and C the matrix itself.
+    `left` and `right` are None for no scaling.
+    """
+
+    ids_i: np.ndarray
+    ids_v: np.ndarray
+    b: np.ndarray
+    b_vi: np.ndarray
+    c: np.ndarray
+    left: np.ndarray | None = None
+    right: np.ndarray | None = None
+    loop: bool = False
+
+    @property
+    def T(self) -> "BlockOperator":
+        return BlockOperator(
+            self.ids_i, self.ids_v, self.b_vi.T, self.b.T, self.c.T,
+            left=self.right, right=self.left, loop=self.loop,
+        )
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if self.right is not None:
+            x = self.right[:, None] * x
+        x_i, x_v = x[self.ids_i], x[self.ids_v]
+        out = np.empty_like(x)
+        out[self.ids_i] = self.b @ x_v
+        out[self.ids_v] = self.b_vi @ x_i + self.c @ x_v
+        if self.loop:
+            out += x
+        if self.left is not None:
+            out *= self.left[:, None]
+        return out
+
+    def row_sums(self) -> np.ndarray:
+        """Row sums of A (node degrees for a 0/1 adjacency)."""
+        sums = np.empty(self.ids_i.size + self.ids_v.size)
+        sums[self.ids_i] = self.b.sum(axis=1)
+        sums[self.ids_v] = self.b_vi.sum(axis=1) + self.c.sum(axis=1)
+        return sums
+
+
+Adjacency = Graph | BlockOperator | np.ndarray
+
+
+def adjacency_operator(adjacency: Adjacency) -> BlockOperator:
+    """A as a block operator: a graph's cached blocks, or a dense p x p array
+    taken as it is (I empty, C the array: no copy, no scan for nonzeros). An
+    operator passes through unchanged."""
+    if isinstance(adjacency, BlockOperator):
+        return adjacency
+    if isinstance(adjacency, Graph):
+        return BlockOperator(*adjacency.adjacency_blocks())
+    a = np.asarray(adjacency, dtype=np.float64)
+    p = a.shape[0]
+    return BlockOperator(
+        np.empty(0, dtype=np.int64), np.arange(p), np.empty((0, p)), np.empty((p, 0)), a
+    )
+
+
+def _fanout_sample(adjacency: Graph | np.ndarray, fanout: int, rng: np.random.Generator) -> BlockOperator:
+    """A with each row cut to min(degree, fanout) of its entries, drawn
+    uniformly without replacement: every entry gets one random key and each
+    row keeps its `fanout` smallest keys."""
+    if isinstance(adjacency, Graph):
+        rows, cols, p = adjacency.entry_rows(), adjacency.indices, adjacency.num_nodes
+    else:
+        a = np.asarray(adjacency)
+        rows, cols = np.nonzero(a)
+        p = a.shape[0]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=p))])
+    order = np.lexsort((rng.random(rows.size), rows))  # rows ascend: each row's entries by key
+    keep = np.zeros(rows.size, dtype=bool)
+    keep[order[np.arange(rows.size) - starts[rows] < fanout]] = True
+    if isinstance(adjacency, Graph):
+        return BlockOperator(*adjacency.adjacency_blocks(keep))
+    sampled = np.zeros((p, p))
+    sampled[rows[keep], cols[keep]] = 1.0
+    return adjacency_operator(sampled)
+
+
 def mean_aggregation_matrix(
-    adjacency: np.ndarray,
+    adjacency: Adjacency,
     fanout: int | None = None,
     rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Row-normalized (optionally fanout-sampled) adjacency; zero rows for
-    isolated nodes."""
-    a = np.asarray(adjacency, dtype=np.float64)
+) -> BlockOperator:
+    """Row-normalized (optionally fanout-sampled) adjacency D^-1 A; zero rows
+    for isolated nodes. `adjacency` is a graph, a dense 0/1 matrix, or an
+    unscaled operator (not with fanout)."""
     if fanout is not None:
         if rng is None:
             raise DataError("fanout sampling requires a random generator")
-        sampled = np.zeros_like(a)
-        for j in range(a.shape[0]):
-            neighbors = np.flatnonzero(a[j])
-            if neighbors.size > fanout:
-                neighbors = rng.choice(neighbors, size=fanout, replace=False)
-            sampled[j, neighbors] = 1.0
-        a = sampled
-    degrees = a.sum(axis=1)
+        a = _fanout_sample(adjacency, fanout, rng)  # type: ignore[arg-type]
+    else:
+        a = adjacency_operator(adjacency)
+    degrees = a.row_sums()
     scale = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
-    return a * scale[:, None]
+    return replace(a, left=scale)
 
 
-def neighborhood_mean(
-    features: np.ndarray,
-    adjacency: np.ndarray,
-    node: int,
-    fanout: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Mean of (optionally sampled) neighbor feature rows; zeros when isolated."""
-    neighbors = np.flatnonzero(np.asarray(adjacency)[node])
-    if neighbors.size == 0:
-        return np.zeros(np.asarray(features).shape[1], dtype=np.float64)
-    if fanout is not None and neighbors.size > fanout:
-        if rng is None:
-            raise DataError("fanout sampling requires a random generator")
-        neighbors = rng.choice(neighbors, size=fanout, replace=False)
-    return np.asarray(features, dtype=np.float64)[neighbors].mean(axis=0)
-
-
-def gcn_propagation_matrix(adjacency: np.ndarray) -> np.ndarray:
-    """Symmetric normalization D^{-1/2} (A + I) D^{-1/2}."""
-    a_hat = np.asarray(adjacency, dtype=np.float64) + np.eye(adjacency.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+def gcn_propagation_matrix(adjacency: Adjacency) -> BlockOperator:
+    """Symmetric normalization D^{-1/2} (A + I) D^{-1/2}, D the row sums of A + I."""
+    a = adjacency_operator(adjacency)
+    inv_sqrt = 1.0 / np.sqrt(a.row_sums() + 1.0)
+    return replace(a, left=inv_sqrt, right=inv_sqrt, loop=True)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +228,8 @@ def gcn_propagation_matrix(adjacency: np.ndarray) -> np.ndarray:
 @dataclass
 class SageCache:
     x: np.ndarray
-    adjacency: np.ndarray
-    agg: np.ndarray  # row-normalized mean aggregator
-    head_agg: np.ndarray  # neighbor operator used by the head term
+    agg: BlockOperator  # row-normalized mean aggregator
+    head_agg: BlockOperator  # neighbor operator used by the head term
     c1: np.ndarray
     z1: np.ndarray
     h1: np.ndarray
@@ -176,12 +243,12 @@ class SageCache:
 
 def sage_encode(
     features: np.ndarray,
-    adjacency: np.ndarray,
+    adjacency: Adjacency,
     params: ModelParameters,
-    agg: np.ndarray | None = None,
+    agg: BlockOperator | None = None,
 ) -> SageCache:
     x = np.asarray(features, dtype=np.float64)
-    a = np.asarray(adjacency, dtype=np.float64)
+    a = adjacency_operator(adjacency)
     m = mean_aggregation_matrix(a) if agg is None else agg
     c1 = np.hstack([x, m @ x])
     z1 = c1 @ params.w1
@@ -190,14 +257,14 @@ def sage_encode(
     z2 = c2 @ params.w2
     h2 = np.maximum(z2, 0.0)
     head_agg = m if params.head_mean else a
-    return SageCache(x, a, m, head_agg, c1, z1, h1, c2, z2, h2, None, None, None)
+    return SageCache(x, m, head_agg, c1, z1, h1, c2, z2, h2, None, None, None)
 
 
 def sage_forward(
     features: np.ndarray,
-    adjacency: np.ndarray,
+    adjacency: Adjacency,
     params: ModelParameters,
-    agg: np.ndarray | None = None,
+    agg: BlockOperator | None = None,
 ) -> SageCache:
     """Full node-classification pass; cache carries (h1, h2, p)."""
     if params.w3 is None:
@@ -213,7 +280,7 @@ def sage_forward(
 @dataclass
 class GcnCache:
     x: np.ndarray
-    s: np.ndarray
+    s: BlockOperator
     sx: np.ndarray
     z1: np.ndarray
     h1: np.ndarray
@@ -226,12 +293,12 @@ class GcnCache:
 
 def gcn_encode(
     features: np.ndarray,
-    adjacency: np.ndarray,
+    adjacency: Adjacency,
     params: ModelParameters,
-    prop: np.ndarray | None = None,
+    prop: BlockOperator | None = None,
 ) -> GcnCache:
     x = np.asarray(features, dtype=np.float64)
-    s = gcn_propagation_matrix(np.asarray(adjacency)) if prop is None else prop
+    s = gcn_propagation_matrix(adjacency) if prop is None else prop
     sx = s @ x
     z1 = sx @ params.w1
     h1 = np.maximum(z1, 0.0)
@@ -243,9 +310,9 @@ def gcn_encode(
 
 def gcn_forward(
     features: np.ndarray,
-    adjacency: np.ndarray,
+    adjacency: Adjacency,
     params: ModelParameters,
-    prop: np.ndarray | None = None,
+    prop: BlockOperator | None = None,
 ) -> GcnCache:
     """Two symmetric-normalized propagation layers, then linear + sigmoid head."""
     if params.w3 is None:
@@ -257,9 +324,11 @@ def gcn_forward(
 
 
 def forward(
-    features: np.ndarray, adjacency: np.ndarray, params: ModelParameters
+    features: np.ndarray, adjacency: Adjacency, params: ModelParameters
 ) -> tuple[np.ndarray, SageCache | GcnCache]:
-    """Kind-dispatched node-classification forward; returns (P, cache)."""
+    """Kind-dispatched node-classification forward; returns (P, cache).
+    `adjacency` is a graph (its cached blocks), a dense p x p array, or an
+    unscaled `BlockOperator`."""
     cache = (
         sage_forward(features, adjacency, params)
         if params.kind == "graphsage"
@@ -481,7 +550,7 @@ def train_node_classifier(
 
     Returns the best-validation parameters and the per-epoch log.
     """
-    adjacency = graph.graph.dense_adjacency()
+    g = graph.graph
     y = graph.labels
     train_idx = np.array(split.train_ids, dtype=np.int64)
     valid_idx = np.array(split.valid_ids, dtype=np.int64)
@@ -493,8 +562,9 @@ def train_node_classifier(
         head_relu=config.head_relu, head_mean=config.head_mean,
     )
     state = AdamState.for_parameters(params.weights())
-    prop = None if kind == "graphsage" else gcn_propagation_matrix(adjacency)
-    full_agg = mean_aggregation_matrix(adjacency) if kind == "graphsage" else None
+    # operators are built once per run; fanout draws a new mean aggregator per epoch
+    prop = None if kind == "graphsage" else gcn_propagation_matrix(g)
+    full_agg = mean_aggregation_matrix(g) if kind == "graphsage" and config.fanout is None else None
 
     best = params.copy()
     best_auc = -np.inf
@@ -503,13 +573,13 @@ def train_node_classifier(
     for epoch in range(config.max_epochs):
         if kind == "graphsage":
             agg = (
-                mean_aggregation_matrix(adjacency, config.fanout, rng)
+                mean_aggregation_matrix(g, config.fanout, rng)
                 if config.fanout is not None
                 else full_agg
             )
-            cache: SageCache | GcnCache = sage_forward(features, adjacency, params, agg)
+            cache: SageCache | GcnCache = sage_forward(features, g, params, agg)
         else:
-            cache = gcn_forward(features, adjacency, params, prop)
+            cache = gcn_forward(features, g, params, prop)
         assert cache.p is not None
         loss = weighted_bce_loss(cache.p, y, train_idx, weights)
         valid_auc = auc_roc(cache.p[valid_idx], y[valid_idx])
@@ -533,19 +603,11 @@ def train_node_classifier(
 # ---------------------------------------------------------------------------
 
 
-def link_score(h_u: np.ndarray, h_v: np.ndarray) -> float:
-    """Sigmoid of the inner product of two node embeddings."""
-    h_u, h_v = np.asarray(h_u, dtype=np.float64), np.asarray(h_v, dtype=np.float64)
-    if h_u.shape != h_v.shape:
-        raise DataError(f"embedding dimension mismatch: {h_u.shape} vs {h_v.shape}")
-    return float(_sigmoid(np.array([h_u @ h_v]))[0])
-
-
 def encode(
     features: np.ndarray,
-    adjacency: np.ndarray,
+    adjacency: Adjacency,
     params: ModelParameters,
-    op: np.ndarray | None = None,
+    op: BlockOperator | None = None,
 ) -> SageCache | GcnCache:
     """Kind-dispatched two-layer encoder pass (no head); `op` is the
     precomputed mean aggregator (GraphSAGE) or propagation matrix (GCN)."""
@@ -599,19 +661,17 @@ class LinkEvalResult:
     test_pairs: int
 
 
-def _split_counts(total: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
-    targets = [total * r for r in ratios]
-    counts = [int(t) for t in targets]
-    order = sorted(range(3), key=lambda i: (targets[i] - counts[i], -i), reverse=True)
-    for i in order[: total - sum(counts)]:
-        counts[i] += 1
-    return counts[0], counts[1], counts[2]
+def _sorted_pairs(blocks: list[np.ndarray]) -> np.ndarray:
+    """(m, t) rows of all blocks in ascending order."""
+    pairs = np.vstack(blocks).astype(np.int64).reshape(-1, 2)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 @dataclass(frozen=True)
 class LinkSplit:
     """Positive/negative manufacturer-target pairs per split, plus the
-    message-passing edge list (all graph edges except held-out positives)."""
+    message-passing edges (all graph edges except held-out positives, as
+    (u, v) rows with u < v)."""
 
     pos_train: np.ndarray
     pos_valid: np.ndarray
@@ -619,7 +679,7 @@ class LinkSplit:
     neg_train: np.ndarray
     neg_valid: np.ndarray
     neg_test: np.ndarray
-    message_edges: tuple[tuple[int, int], ...]
+    message_edges: np.ndarray
 
 
 def split_link_edges(
@@ -637,40 +697,30 @@ def split_link_edges(
             raise DataError(f"target service {name!r} not found")
         target_ids.append(sid)
 
-    edge_set = graph.edge_set()
-    positives = sorted(
-        (m, t)
-        for t in target_ids
-        for m in graph.neighbors[t]
-        if graph.nodes[m].is_manufacturer
-    )
-    if len(positives) < 10:
-        raise DataError(f"need at least 10 positive edges, found {len(positives)}")
-    manufacturers = graph.manufacturer_ids()
-    non_edges = sorted(
-        (m, t)
-        for t in target_ids
-        for m in manufacturers
-        if (min(m, t), max(m, t)) not in edge_set
-    )
-    if len(non_edges) < len(positives):
+    manufacturers = np.flatnonzero(graph.is_manufacturer)
+    positives, non_edges = [], []
+    for t in target_ids:
+        linked = np.isin(manufacturers, graph.neighbor_ids(t))
+        positives.append(np.column_stack([manufacturers[linked], np.full(linked.sum(), t)]))
+        non_edges.append(np.column_stack([manufacturers[~linked], np.full((~linked).sum(), t)]))
+    pos, neg = (_sorted_pairs(pairs) for pairs in (positives, non_edges))
+    if len(pos) < 10:
+        raise DataError(f"need at least 10 positive edges, found {len(pos)}")
+    if len(neg) < len(pos):
         raise DataError("not enough manufacturer-target non-edges for 1:1 negatives")
 
-    pos = np.array(positives, dtype=np.int64)
     rng.shuffle(pos)
-    n_tr, n_va, n_te = _split_counts(len(pos), ratios)
+    n_tr, n_va, n_te = _largest_remainder(len(pos), ratios)
     if min(n_tr, n_va, n_te) == 0:
         raise DataError("too few positive edges to populate all three splits")
 
-    neg = np.array(non_edges, dtype=np.int64)
     rng.shuffle(neg)
     neg = neg[: len(pos)]
 
-    held_out = {tuple(e) for e in pos[n_tr:]}
-    message_edges = tuple(
-        (u, v) for u, v in graph.iter_edges()
-        if (u, v) not in held_out and (v, u) not in held_out
-    )
+    p = graph.num_nodes
+    edges = graph.edge_array()
+    held_out = pos[n_tr:].min(axis=1) * p + pos[n_tr:].max(axis=1)
+    kept = ~np.isin(edges[:, 0] * p + edges[:, 1], held_out)
     return LinkSplit(
         pos_train=pos[:n_tr],
         pos_valid=pos[n_tr : n_tr + n_va],
@@ -678,7 +728,7 @@ def split_link_edges(
         neg_train=neg[:n_tr],
         neg_valid=neg[n_tr : n_tr + n_va],
         neg_test=neg[n_tr + n_va :],
-        message_edges=message_edges,
+        message_edges=edges[kept],
     )
 
 
@@ -703,15 +753,15 @@ def train_link_predictor(
     link_split = split_link_edges(graph, target_services, ratios, rng)
     pos_tr, pos_va, pos_te = link_split.pos_train, link_split.pos_valid, link_split.pos_test
     neg_tr, neg_va, neg_te = link_split.neg_train, link_split.neg_valid, link_split.neg_test
-    adjacency = Graph(graph.nodes, link_split.message_edges).dense_adjacency()
+    message = Graph(graph.nodes, link_split.message_edges)
 
     params = init_parameters(
         kind, features.shape[1], config.d_hidden, rng, with_head=False,
     )
     state = AdamState.for_parameters(params.weights())
     op = (
-        mean_aggregation_matrix(adjacency) if kind == "graphsage"
-        else gcn_propagation_matrix(adjacency)
+        mean_aggregation_matrix(message) if kind == "graphsage"
+        else gcn_propagation_matrix(message)
     )
 
     train_pairs = np.vstack([pos_tr, neg_tr])
@@ -725,7 +775,7 @@ def train_link_predictor(
     epochs_run = 0
     for epoch in range(config.max_epochs):
         epochs_run = epoch + 1
-        cache = encode(features, adjacency, params, op)
+        cache = encode(features, message, params, op)
         h = link_embeddings(cache)
         valid_auc = auc_roc(_pair_scores(h, valid_pairs), valid_y)
         if valid_auc > best_auc:
@@ -742,7 +792,7 @@ def train_link_predictor(
         )
 
     params = best
-    h_final = link_embeddings(encode(features, adjacency, params, op))
+    h_final = link_embeddings(encode(features, message, params, op))
     test_pairs = np.vstack([pos_te, neg_te])
     test_y = np.concatenate([np.ones(len(pos_te)), np.zeros(len(neg_te))])
     test_scores = _pair_scores(h_final, test_pairs)

@@ -155,11 +155,11 @@ def oversample(task: LabeledTask, split: SplitAssignment, config: SengConfig) ->
         )
 
     nodes = list(base.nodes)
-    edges = list(base.iter_edges())
+    edges = [base.edge_array()]
     for rec in records:
         nodes.append(manufacturer(f"synthetic-{rec.node - p}"))
-        edges.extend((rec.node, s) for s in rec.attached_services)
-    combined = Graph(nodes, edges)
+        edges.append(np.array([(rec.node, s) for s in rec.attached_services], dtype=np.int64))
+    combined = Graph(nodes, np.vstack(edges))
 
     labels = np.concatenate([task.labels, np.full(count, stats.minority_label, dtype=np.int64)])
     assignment = dict(split.assignment)

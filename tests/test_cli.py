@@ -263,6 +263,32 @@ def test_predict_boundary_half_maps_to_zero(planted_dir, tmp_path, capsys):
     assert label == "0"
 
 
+def test_predict_config_without_threshold_exit_2(trained_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    config = json.loads((run / "config.json").read_text())
+    del config["train"]
+    (run / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["predict", "--run-dir", str(run), "--name", "maker-00000"]) == 2
+    assert "malformed run config" in capsys.readouterr().err
+    assert main(["predict", "--run-dir", str(run), "--name", "maker-00000", "--threshold", "0.5"]) == 0
+
+
+def test_train_eval_predict_never_build_a_dense_adjacency(planted_dir, tmp_path, monkeypatch):
+    from capgraph.graph import Graph
+
+    def refuse(self):
+        raise AssertionError("dense p x p adjacency built")
+
+    monkeypatch.setattr(Graph, "dense_adjacency", refuse)
+    for encoder in ("graphsage", "gcn"):
+        out = tmp_path / encoder
+        assert _train(planted_dir, out, "--method", "plain", "--encoder", encoder) == 0
+        assert main(["eval", "--run-dir", str(out)]) == 0
+        assert main(["predict", "--run-dir", str(out), "--name", "maker-00000"]) == 0
+    assert _train(planted_dir, tmp_path / "link", "--method", "plain", "--task", "link") == 0
+
+
 def test_config_file_and_flag_override(planted_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"train": {"max_epochs": 7}}), encoding="utf-8")

@@ -88,6 +88,59 @@ def test_load_graph_requires_contiguous_ids(tmp_path):
         load_graph(nodes, edges)
 
 
+@pytest.mark.parametrize("text", [
+    "0\t1\r\n1\t0\r\n",  # CRLF, duplicate in reverse
+    "\n  0 1  \n\n",  # blank lines, spaces
+    "0\t1_0\n",  # int() accepts it, numpy's table reader does not
+    "\uff10\t1\n",  # a full-width digit
+])
+def test_load_graph_reads_what_int_reads(tmp_path, text):
+    nodes = _write(tmp_path, "n.tsv", "".join(
+        f"{j}\tservice\tprocess\ts{j}\n" for j in range(11)))
+    g = load_graph(nodes, _write(tmp_path, "e.tsv", text))
+    edges = [tuple(map(int, line.split())) for line in text.splitlines() if line.strip()]
+    assert g.edge_set() == {(min(e), max(e)) for e in edges}
+
+
+def _loop_graph(nodes, edges):
+    """The per-edge loop Graph construction replaced: (neighbors, edge count)
+    or the first offending edge's message."""
+    p = len(nodes)
+    edge_set = set()
+    for src, dst in edges:
+        if not (0 <= src < p and 0 <= dst < p):
+            return f"dangling endpoint in edge ({src}, {dst}); node count is {p}"
+        if src == dst:
+            return f"self-loop on node {src}"
+        if nodes[src].is_manufacturer and nodes[dst].is_manufacturer:
+            return f"manufacturer-manufacturer edge ({src}, {dst}) is not allowed"
+        edge_set.add((min(src, dst), max(src, dst)))
+    adj = [[] for _ in range(p)]
+    for u, v in edge_set:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(ns)) for ns in adj), len(edge_set)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_graph_construction_matches_loop_oracle(data):
+    kinds = data.draw(st.lists(st.booleans(), max_size=9))
+    nodes = [manufacturer(f"m{j}") if k else service(f"s{j}", ServiceCategory.PROCESS)
+             for j, k in enumerate(kinds)]
+    endpoint = st.integers(-1, len(nodes))
+    edges = data.draw(st.lists(st.tuples(endpoint, endpoint), max_size=20))
+    want = _loop_graph(nodes, edges)
+    if isinstance(want, str):
+        with pytest.raises(DataError) as err:
+            Graph(nodes, edges)
+        assert str(err.value) == want
+    else:
+        g = Graph(nodes, edges)
+        assert (g.neighbors, g.num_edges) == want
+        assert sorted(g.edge_set()) == list(g.iter_edges())
+
+
 def test_graph_rejects_manufacturer_manufacturer_edge():
     nodes = [manufacturer("a"), manufacturer("b")]
     with pytest.raises(DataError, match="manufacturer-manufacturer"):

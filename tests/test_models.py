@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capgraph.errors import DataError
 from capgraph.features import codes_only_features
@@ -21,6 +26,7 @@ from capgraph.models import (
     ModelParameters,
     TrainConfig,
     adam_step,
+    adjacency_operator,
     backward,
     _pair_scores,
     bce_logit_gradient,
@@ -33,10 +39,8 @@ from capgraph.models import (
     inverse_frequency_weights,
     link_embedding_gradient,
     link_embeddings,
-    link_score,
     load_checkpoint,
     mean_aggregation_matrix,
-    neighborhood_mean,
     predict_labels,
     sage_forward,
     save_checkpoint,
@@ -46,7 +50,7 @@ from capgraph.models import (
     weighted_bce_loss,
 )
 from capgraph.seng import without_oversampling
-from capgraph.harness import PlantedDatasetSpec, planted_task
+from capgraph.harness import PlantedDatasetSpec, generate_planted_dataset, planted_task
 
 from conftest import random_bipartite_graph
 
@@ -63,43 +67,191 @@ def _six_node_instance(seed: int, feature_scale: float = 0.4):
 
 
 # ---------------------------------------------------------------------------
+# Dense oracles: the p x p operators and encoders the block operator replaced.
+# ---------------------------------------------------------------------------
+
+
+def _neighborhood_mean(features, adjacency, node):
+    """Mean of a node's neighbor feature rows; zeros when isolated."""
+    neighbors = np.flatnonzero(np.asarray(adjacency)[node])
+    if neighbors.size == 0:
+        return np.zeros(np.asarray(features).shape[1])
+    return np.asarray(features, dtype=np.float64)[neighbors].mean(axis=0)
+
+
+def _link_score(h_u, h_v):
+    """Sigmoid of the inner product of two node embeddings."""
+    return float(1.0 / (1.0 + np.exp(-(np.asarray(h_u) @ np.asarray(h_v)))))
+
+
+def _dense_mean(a):
+    degrees = a.sum(axis=1)
+    scale = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
+    return a * scale[:, None]
+
+
+def _dense_gcn(a):
+    a_hat = a + np.eye(a.shape[0])
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def _dense_forward_backward(x, a, params, dt):
+    """Node probabilities and (w1, w2, w3) gradients from dense p x p
+    operators, given dLoss/d(pre-sigmoid) `dt`."""
+    relu = lambda z: np.maximum(z, 0.0)
+    dt = dt[:, None]
+    if params.kind == "graphsage":
+        m = _dense_mean(a)
+        head = m if params.head_mean else a
+        c1 = np.hstack([x, m @ x])
+        z1 = c1 @ params.w1
+        c2 = np.hstack([relu(z1), m @ relu(z1)])
+        z2 = c2 @ params.w2
+        h2 = relu(z2)
+        c3 = np.hstack([h2, head @ h2])
+        z3 = c3 @ params.w3
+        p = 1.0 / (1.0 + np.exp(-(relu(z3) if params.head_relu else z3)))
+        dz3 = dt * (z3 > 0) if params.head_relu else dt
+        dc3 = dz3 @ params.w3.T
+        dh = params.d_hidden
+        dz2 = (dc3[:, :dh] + head.T @ dc3[:, dh:]) * (z2 > 0)
+        dc2 = dz2 @ params.w2.T
+        dz1 = (dc2[:, :dh] + m.T @ dc2[:, dh:]) * (z1 > 0)
+        return p[:, 0], (c1.T @ dz1, c2.T @ dz2, c3.T @ dz3)
+    s = _dense_gcn(a)
+    sx = s @ x
+    z1 = sx @ params.w1
+    sh1 = s @ relu(z1)
+    z2 = sh1 @ params.w2
+    h2 = relu(z2)
+    p = 1.0 / (1.0 + np.exp(-(h2 @ params.w3)))
+    dz2 = (dt @ params.w3.T) * (z2 > 0)
+    dz1 = (s.T @ (dz2 @ params.w2.T)) * (z1 > 0)
+    return p[:, 0], (sx.T @ dz1, sh1.T @ dz2, h2.T @ dt)
+
+
+def _densify(op, p):
+    return op @ np.eye(p)
+
+
+@st.composite
+def _graphs(draw):
+    """Manufacturer-service graphs with isolated nodes, service-service edges,
+    no edges at all, and single nodes; node kinds interleave."""
+    p = draw(st.integers(1, 14))
+    kinds = draw(st.lists(st.booleans(), min_size=p, max_size=p))
+    nodes = [manufacturer(f"m{j}") if k else service(f"s{j}", ServiceCategory.PROCESS)
+             for j, k in enumerate(kinds)]
+    candidates = [(u, v) for u in range(p) for v in range(u + 1, p) if not (kinds[u] and kinds[v])]
+    edges = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+    return Graph(nodes, edges)
+
+
+# ---------------------------------------------------------------------------
 # Aggregation.
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_block_operator_matches_dense_oracle(graph, width, seed):
+    a = graph.dense_adjacency()
+    x = np.random.default_rng(seed).normal(size=(graph.num_nodes, width))
+    cases = [
+        (adjacency_operator(graph), a),
+        (adjacency_operator(a), a),  # dense ndarray input
+        (mean_aggregation_matrix(graph), _dense_mean(a)),
+        (mean_aggregation_matrix(a), _dense_mean(a)),
+        (gcn_propagation_matrix(graph), _dense_gcn(a)),
+        (gcn_propagation_matrix(a), _dense_gcn(a)),
+    ]
+    for op, dense in cases:
+        assert np.abs(op @ x - dense @ x).max(initial=0.0) <= 1e-12
+        assert np.abs(op.T @ x - dense.T @ x).max(initial=0.0) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_fanout_sampling_keeps_true_neighbors(graph, fanout, seed):
+    a = graph.dense_adjacency()
+    p = graph.num_nodes
+    for source in (graph, a):
+        ops = [mean_aggregation_matrix(source, fanout, np.random.default_rng(seed)) for _ in range(2)]
+        sampled = _densify(replace(ops[0], left=None), p)
+        assert np.array_equal(sampled, _densify(replace(ops[1], left=None), p))  # same seed, same draw
+        assert np.all(sampled <= a)  # only true neighbors
+        assert np.array_equal(sampled.sum(axis=1), np.minimum(a.sum(axis=1), fanout))
+        x = np.random.default_rng(seed).normal(size=(p, 3))
+        dense = _dense_mean(sampled)
+        assert np.abs(ops[0] @ x - dense @ x).max(initial=0.0) <= 1e-12
+        assert np.abs(ops[0].T @ x - dense.T @ x).max(initial=0.0) <= 1e-12
+
+
+def test_fanout_sampling_draws_differ_across_epochs():
+    g = random_bipartite_graph(np.random.default_rng(0), 20, 20, 0.5)
+    rng = np.random.default_rng(1)
+    first, second = (_densify(mean_aggregation_matrix(g, 2, rng), g.num_nodes) for _ in range(2))
+    assert not np.array_equal(first, second)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs(), st.sampled_from(["graphsage", "gcn"]), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_encoders_match_dense_oracle(graph, kind, head, seed):
+    rng = np.random.default_rng(seed)
+    a = graph.dense_adjacency()
+    x = rng.normal(0.0, 0.5, size=(graph.num_nodes, 3))
+    params = init_parameters(kind, 3, 4, rng, head_relu=head == 1, head_mean=head == 2)
+    y = rng.integers(0, 2, size=graph.num_nodes)
+    mask = np.arange(graph.num_nodes)
+    _, cache = forward(x, graph, params)
+    want_p, want_grads = _dense_forward_backward(
+        x, a, params, bce_logit_gradient(cache.p, y, mask, (0.7, 1.9))
+    )
+    assert np.abs(cache.p - want_p).max() <= 1e-12
+    assert np.abs(forward(x, a, params)[0] - want_p).max() <= 1e-12  # dense ndarray input
+    for got, want in zip(backward(cache, params, y, mask, (0.7, 1.9)), want_grads):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_neighborhood_mean_hand_case():
     a = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
     feats = np.array([[9.0, 9, 9], [1, 0, 0], [3, 0, 0]])
-    assert np.allclose(neighborhood_mean(feats, a, 0), [2, 0, 0])
+    got = mean_aggregation_matrix(a) @ feats
+    assert np.allclose(got[0], [2, 0, 0])
+    for j in range(3):
+        assert np.allclose(got[j], _neighborhood_mean(feats, a, j))
 
 
 def test_neighborhood_mean_isolated_zero():
     a = np.zeros((3, 3))
     feats = np.ones((3, 3))
-    assert np.allclose(neighborhood_mean(feats, a, 1), [0, 0, 0])
+    assert np.allclose((mean_aggregation_matrix(a) @ feats)[1], [0, 0, 0])
+    assert np.allclose(_neighborhood_mean(feats, a, 1), [0, 0, 0])
 
 
 def test_neighborhood_mean_fanout_deterministic():
     a = np.ones((4, 4)) - np.eye(4)
     feats = np.diag([1.0, 2.0, 3.0, 4.0])
     picks = {
-        tuple(neighborhood_mean(feats, a, 0, fanout=1, rng=np.random.default_rng(5)))
+        tuple((mean_aggregation_matrix(a, fanout=1, rng=np.random.default_rng(5)) @ feats)[0])
         for _ in range(3)
     }
     assert len(picks) == 1  # same seed, same single-neighbor pick
+    assert picks.pop() in {tuple(feats[j]) for j in (1, 2, 3)}
 
 
 def test_mean_aggregation_matrix_rows():
     a = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
     m = mean_aggregation_matrix(a)
-    assert np.allclose(m.sum(axis=1), [1, 1, 1])
+    assert np.allclose((m @ np.ones((3, 1)))[:, 0], [1, 1, 1])
     iso = mean_aggregation_matrix(np.zeros((2, 2)))
-    assert np.all(iso == 0.0)
+    assert np.all(_densify(iso, 2) == 0.0)
 
 
 def test_gcn_propagation_single_node_identity():
     s = gcn_propagation_matrix(np.zeros((1, 1)))
-    assert np.allclose(s, [[1.0]])
+    assert np.allclose(_densify(s, 1), [[1.0]])
 
 
 def test_gcn_propagation_cycle_rows_sum_to_one():
@@ -111,7 +263,27 @@ def test_gcn_propagation_cycle_rows_sum_to_one():
         [1, 0, 1, 0],
     ], dtype=float)
     s = gcn_propagation_matrix(a)
-    assert np.allclose(s.sum(axis=1), 1.0)
+    assert np.allclose((s @ np.ones((4, 1)))[:, 0], 1.0)
+
+
+def test_training_memory_is_not_quadratic():
+    # 20,000 manufacturers: one dense p x p float64 matrix alone is 3.2 GB
+    graph, target = generate_planted_dataset(PlantedDatasetSpec(
+        n_manufacturers=20_000, n_services_per_category=10, n_clusters=4,
+        capable_fraction=0.2, signal=0.9, noise=0.05, seed=0,
+    ))
+    task = mask_target(graph, target)
+    aug = without_oversampling(task, stratified_split(task.labels, (0.8, 0.1, 0.1), 0))
+    feats = codes_only_features(init_type_codes(aug.graph))
+    tracemalloc.start()
+    try:
+        for kind in ("graphsage", "gcn"):
+            _, log = train_node_classifier(aug, feats, aug.split, TrainConfig(max_epochs=2), kind)
+            assert len(log) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +588,15 @@ def test_inverse_frequency_weights():
 
 
 def test_link_score_cases():
-    assert link_score(np.zeros(4), np.ones(4)) == pytest.approx(0.5)
-    h = np.full(4, 5.0)  # norm 10
-    assert link_score(h, h) > 0.999
-    assert link_score(h, -h) < 0.5
-    with pytest.raises(DataError, match="mismatch"):
-        link_score(np.zeros(3), np.zeros(4))
+    # the decoder's pair scores against the single-pair oracle
+    h = np.vstack([np.zeros(4), np.ones(4), np.full(4, 5.0), np.full(4, -5.0)])  # rows 2, 3: norm 10
+    pairs = np.array([[0, 1], [2, 2], [2, 3]])
+    scores = _pair_scores(h, pairs)
+    assert scores[0] == pytest.approx(0.5)
+    assert scores[1] > 0.999
+    assert scores[2] < 0.5
+    for (u, v), score in zip(pairs, scores):
+        assert score == pytest.approx(_link_score(h[u], h[v]), abs=1e-15)
 
 
 def test_link_split_contract():
@@ -441,7 +616,7 @@ def test_link_split_contract():
         for m, t in pool:
             assert (min(m, t), max(m, t)) not in edge_set
     # held-out positives removed from the message graph
-    msg = set(ls.message_edges)
+    msg = set(map(tuple, ls.message_edges.tolist()))
     for m, t in [*map(tuple, ls.pos_valid), *map(tuple, ls.pos_test)]:
         assert (m, t) not in msg and (t, m) not in msg
 
