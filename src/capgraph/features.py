@@ -10,7 +10,12 @@ their type code with zero-padded plane coordinates.
 
 from __future__ import annotations
 
+import itertools
+import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -34,12 +39,30 @@ class EmbeddingConfig:
     learning_rate: float = 0.025
     negatives: int = 5
 
+    def __post_init__(self) -> None:  # comparisons are written so that NaN fails them
+        if not self.dim >= 2:
+            raise DataError("embedding width must be >= 2")
+        if not self.epochs >= 1:
+            raise DataError("paragraph-vector epochs must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise DataError("paragraph-vector learning rate must be positive and finite")
+        if not self.negatives >= 1:
+            raise DataError("negative samples per word must be >= 1")
+
 
 @dataclass(frozen=True)
 class TsneConfig:
     perplexity: float | None = None  # None: min(30, (n-1)/3 - eps)
     iterations: int = 500
     learning_rate: float = 200.0
+
+    def __post_init__(self) -> None:
+        if self.perplexity is not None and not 0 < self.perplexity < math.inf:
+            raise DataError("t-SNE perplexity must be positive and finite")
+        if not self.iterations >= 1:
+            raise DataError("t-SNE iterations must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise DataError("t-SNE learning rate must be positive and finite")
 
 
 def build_neighbor_paragraphs(graph: Graph | AugmentedGraph) -> dict[int, list[str]]:
@@ -150,60 +173,112 @@ def default_perplexity(n: int) -> float:
     return min(30.0, (n - 1) / 3.0 - 1e-9)
 
 
-def _squared_distances(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances into the n x n `out`, with `work` as scratch.
+def _cpus() -> list[int]:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
 
-    Evaluated as (|x_i|^2 + |x_j|^2) - 2 (x x^T) in that order, clipped at
-    zero, zero diagonal. t-SNE amplifies rounding differences, so the order,
-    and `x @ x.T` rather than `(2x) @ x.T` (a different BLAS kernel), are
-    part of the result.
-    """
-    sq = np.sum(x * x, axis=1)
-    np.add(sq[:, None], sq[None, :], out=out)
-    np.matmul(x, x.T, out=work)
-    np.multiply(work, 2.0, out=work)
-    np.subtract(out, work, out=out)
-    np.maximum(out, 0.0, out=out)
-    np.fill_diagonal(out, 0.0)
-    return out
+
+def _row_blocks(n: int, parts: int | None = None) -> list[slice]:
+    """Contiguous row blocks of an n-row matrix, by default one per CPU the
+    process may run on (never more than n)."""
+    parts = max(1, min(parts or len(_cpus()), n))
+    bounds = [n * k // parts for k in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@contextmanager
+def _each_block(n: int):
+    """Yield `run(fn)`, which calls `fn(rows)` for every row block of an
+    n-row matrix, the blocks in parallel threads (numpy releases the GIL in
+    its loops). Each worker thread is pinned to its own CPU: a scheduler
+    that does not balance load would otherwise keep every thread on the
+    CPU of the thread that started it. Every element is computed the same
+    way whatever the block count, so results do not depend on it."""
+    blocks = _row_blocks(n)
+    if len(blocks) == 1:
+        yield lambda fn: fn(blocks[0])
+        return
+    cpus = _cpus()
+    slots = itertools.count()
+
+    def pin() -> None:
+        if hasattr(os, "sched_setaffinity"):
+            with suppress(OSError):  # the CPU set changed meanwhile: run unpinned
+                os.sched_setaffinity(0, {cpus[next(slots) % len(cpus)]})  # 0: the calling thread
+
+    with ThreadPoolExecutor(len(blocks), initializer=pin) as pool:
+        yield lambda fn: list(pool.map(fn, blocks))
+
+
+def _zero_diagonal(block: np.ndarray, start: int) -> None:
+    """Zero the entries (i, i) of a contiguous row block whose first row is `start`."""
+    block.reshape(-1)[start::block.shape[1] + 1] = 0.0
 
 
 def conditional_affinities(f1: np.ndarray, perplexity: float) -> np.ndarray:
     """Row-stochastic Gaussian affinities with per-point bandwidth solved by
-    bisection to match the target perplexity; zero diagonal."""
-    n = f1.shape[0]
+    bisection to match the target perplexity; zero diagonal.
+
+    Squared distances are (|x_i|^2 + |x_j|^2) - (2 x_i) . x_j, clipped at
+    zero, with the dot products from `np.einsum` rather than BLAS, whose
+    results change with its thread count.
+    """
+    x = np.asarray(f1, dtype=np.float64)
+    n = x.shape[0]
     if n < 4:
         raise DataError(f"t-SNE needs at least 4 points, got {n}")
-    if perplexity <= 0 or perplexity >= (n - 1) / 3.0:
+    if not (0 < perplexity < (n - 1) / 3.0):
         raise NumericError(f"perplexity {perplexity} infeasible for n={n}")
+    sq = np.sum(x * x, axis=1)
+    x2 = 2.0 * x
     d2 = np.empty((n, n))
     w = np.empty((n, n))
-    work = np.empty((n, n))
-    _squared_distances(np.asarray(f1, dtype=np.float64), d2, work)
-    target_entropy = np.log(perplexity)
-
+    sum_w = np.empty(n)
+    d2_w = np.empty(n)  # row sums of d2 * w
     beta = np.ones(n)
+
+    def distances(rows: slice) -> None:
+        d, scratch = d2[rows], w[rows]
+        np.add(sq[rows, None], sq[None, :], out=scratch)
+        np.einsum("ik,jk->ij", x2[rows], x, out=d)
+        np.subtract(scratch, d, out=d)
+        np.maximum(d, 0.0, out=d)
+        _zero_diagonal(d, rows.start)
+
+    def affinities(rows: slice) -> None:
+        d, a = d2[rows], w[rows]
+        np.multiply(d, -beta[rows, None], out=a)
+        np.exp(a, out=a)
+        _zero_diagonal(a, rows.start)
+        np.maximum(a.sum(axis=1), 1e-300, out=sum_w[rows])
+        np.einsum("ij,ij->i", d, a, out=d2_w[rows])
+
+    def normalise(rows: slice) -> None:
+        np.divide(w[rows], sum_w[rows, None], out=w[rows])
+
+    target_entropy = np.log(perplexity)
     beta_min = np.full(n, -np.inf)
     beta_max = np.full(n, np.inf)
-    for _ in range(64):
-        np.multiply(d2, -beta[:, None], out=w)
-        np.exp(w, out=w)
-        np.fill_diagonal(w, 0.0)
-        sum_w = np.maximum(w.sum(axis=1), 1e-300)
-        np.multiply(d2, w, out=work)
-        entropy = np.log(sum_w) + beta * work.sum(axis=1) / sum_w
-        diff = entropy - target_entropy
-        too_high = diff > 0  # entropy too large -> increase precision
-        beta_min = np.where(too_high, beta, beta_min)
-        beta_max = np.where(~too_high, beta, beta_max)
-        grow = too_high & np.isinf(beta_max)
-        shrink = ~too_high & np.isinf(beta_min)
-        beta = np.where(grow, beta * 2.0, np.where(shrink, beta / 2.0, (beta_min + beta_max) / 2.0))
-        beta = np.where(np.isfinite(beta), beta, 1.0)
-        if np.all(np.abs(diff) < 1e-7):
-            break
-    # the affinities of the last bandwidths tried, normalised in place
-    return np.divide(w, sum_w[:, None], out=w)
+    with _each_block(n) as run:
+        run(distances)
+        for _ in range(64):
+            run(affinities)
+            entropy = np.log(sum_w) + beta * d2_w / sum_w
+            diff = entropy - target_entropy
+            too_high = diff > 0  # entropy too large -> increase precision
+            beta_min = np.where(too_high, beta, beta_min)
+            beta_max = np.where(~too_high, beta, beta_max)
+            grow = too_high & np.isinf(beta_max)
+            shrink = ~too_high & np.isinf(beta_min)
+            beta = np.where(grow, beta * 2.0, np.where(shrink, beta / 2.0, (beta_min + beta_max) / 2.0))
+            beta = np.where(np.isfinite(beta), beta, 1.0)
+            if np.all(np.abs(diff) < 1e-7):
+                break
+        # the affinities of the last bandwidths tried, normalised in place
+        run(normalise)
+    return w
 
 
 def joint_affinities(f1: np.ndarray, perplexity: float) -> np.ndarray:
@@ -229,9 +304,12 @@ def reduce_to_plane(
 
     Gradient descent with momentum (0.5, then 0.8 after iteration 250),
     per-coordinate gain adaptation, and x12 early exaggeration for the
-    first 100 iterations. Deterministic for a fixed seed. Besides P (and
-    its exaggerated copy during the first 100 iterations) the loop holds
-    two n x n buffers: the Student-t kernel and the (P - Q) * kernel term.
+    first 100 iterations. Besides P the loop holds two n x n buffers: the
+    Student-t kernel 1 / (1 + |y_i - y_j|^2), from coordinate differences,
+    and (P - Q / exaggeration) * kernel, whose row sums and products with
+    the coordinates give the gradient (times 4 x exaggeration). Rows are
+    worked in parallel blocks with no BLAS call, so the output depends on
+    the inputs and the seed alone.
     """
     f1 = np.asarray(f1, dtype=np.float64)
     n = f1.shape[0]
@@ -244,29 +322,56 @@ def reduce_to_plane(
     gains = np.ones_like(y)
     num = np.empty((n, n))
     pq = np.empty((n, n))
-    p_eff = p * _EXAGGERATION
-    for it in range(iterations):
-        if it == _EXAGGERATION_ITERS:
-            p_eff = p  # releases the exaggerated copy
-        _squared_distances(y, num, pq)
-        np.add(num, 1.0, out=num)
-        np.divide(1.0, num, out=num)
-        np.fill_diagonal(num, 0.0)
-        np.divide(num, num.sum(), out=pq)  # q
-        np.maximum(pq, _P_FLOOR, out=pq)
-        np.subtract(p_eff, pq, out=pq)
-        np.multiply(pq, num, out=pq)
-        grad = 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
+    num_rows = np.empty(n)
+    pq_rows = np.empty(n)
+    attraction = np.empty((2, n))  # sum_j pq_ij y_j, one row per coordinate
+    y0 = y1 = z = exaggeration = None  # set per iteration, read by the block steps
 
-        momentum = 0.5 if it < _MOMENTUM_SWITCH_ITER else 0.8
-        same_sign = np.sign(grad) == np.sign(update)
-        gains = np.where(same_sign, gains * 0.8, gains + 0.2)
-        np.maximum(gains, 0.01, out=gains)
-        update = momentum * update - learning_rate * gains * grad
-        y = y + update
-        y = y - y.mean(axis=0)
-        if not np.all(np.isfinite(y)):
-            raise NumericError(f"t-SNE diverged at iteration {it}")
+    def kernel(rows: slice) -> None:
+        k, scratch = num[rows], pq[rows]
+        # y_j - y_i, squared: a broadcast copy and an in-place subtraction
+        # beat one subtraction of two broadcast operands
+        scratch[...] = y0
+        np.subtract(scratch, y0[rows, None], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        np.add(scratch, 1.0, out=scratch)
+        k[...] = y1
+        np.subtract(k, y1[rows, None], out=k)
+        np.multiply(k, k, out=k)
+        np.add(scratch, k, out=k)
+        np.divide(1.0, k, out=k)
+        _zero_diagonal(k, rows.start)
+        num_rows[rows] = k.sum(axis=1)
+
+    def forces(rows: slice) -> None:
+        k, f = num[rows], pq[rows]
+        np.divide(k, z * exaggeration, out=f)  # q / exaggeration
+        np.maximum(f, _P_FLOOR / exaggeration, out=f)
+        np.subtract(p[rows], f, out=f)
+        np.multiply(f, k, out=f)
+        pq_rows[rows] = f.sum(axis=1)
+        np.einsum("ij,j->i", f, y0, out=attraction[0, rows])
+        np.einsum("ij,j->i", f, y1, out=attraction[1, rows])
+
+    with _each_block(n) as run:
+        for it in range(iterations):
+            exaggeration = _EXAGGERATION if it < _EXAGGERATION_ITERS else 1.0
+            y0 = np.ascontiguousarray(y[:, 0])
+            y1 = np.ascontiguousarray(y[:, 1])
+            run(kernel)
+            z = num_rows.sum()
+            run(forces)
+            grad = (4.0 * exaggeration) * (pq_rows[:, None] * y - attraction.T)
+
+            momentum = 0.5 if it < _MOMENTUM_SWITCH_ITER else 0.8
+            same_sign = np.sign(grad) == np.sign(update)
+            gains = np.where(same_sign, gains * 0.8, gains + 0.2)
+            np.maximum(gains, 0.01, out=gains)
+            update = momentum * update - learning_rate * gains * grad
+            y = y + update
+            y = y - y.mean(axis=0)
+            if not np.all(np.isfinite(y)):
+                raise NumericError(f"t-SNE diverged at iteration {it}")
     return y
 
 

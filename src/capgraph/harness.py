@@ -137,18 +137,22 @@ class RunArtifacts:
 
 
 def build_features(
-    aug: AugmentedGraph,
+    graph: Graph | AugmentedGraph,
     use_fa: bool,
     embedding: EmbeddingConfig,
     tsne: TsneConfig,
     seed: int,
+    paragraphs_from: Graph | AugmentedGraph | None = None,
 ) -> FeatureBundle:
     """Type-code features, with plane embeddings of neighbor-name paragraphs
-    on manufacturer rows when feature aggregation is on."""
-    codes = init_type_codes(aug.graph)
+    on manufacturer rows when feature aggregation is on. The paragraphs come
+    from `paragraphs_from` (default: `graph`), which must number the
+    manufacturers as `graph` does."""
+    g = graph.graph if isinstance(graph, AugmentedGraph) else graph
+    codes = init_type_codes(g)
     if not use_fa:
         return FeatureBundle(codes_only_features(codes))
-    paragraphs = build_neighbor_paragraphs(aug)
+    paragraphs = build_neighbor_paragraphs(graph if paragraphs_from is None else paragraphs_from)
     f1 = train_paragraph_vectors(
         paragraphs,
         dim=embedding.dim,
@@ -164,8 +168,7 @@ def build_features(
         learning_rate=tsne.learning_rate,
         seed=seed,
     )
-    flags = [node.is_manufacturer for node in aug.graph.nodes]
-    return FeatureBundle(integrate_features(codes, f2, flags), f1, f2)
+    return FeatureBundle(integrate_features(codes, f2, g.is_manufacturer), f1, f2)
 
 
 def run_single(
@@ -212,25 +215,11 @@ def run_link(
     """
     start = time.perf_counter()
     full_graph, _ = restore_target(task)
-    codes = init_type_codes(full_graph)
-    if method.use_fa:
-        # paragraphs come from the masked graph so they cannot mention the
-        # target; manufacturer ids agree since the target is appended last
-        paragraphs = build_neighbor_paragraphs(task.graph)
-        emb = pipeline.embedding
-        f1 = train_paragraph_vectors(
-            paragraphs, dim=emb.dim, epochs=emb.epochs,
-            learning_rate=emb.learning_rate, negatives=emb.negatives, seed=seed,
-        )
-        f2 = reduce_to_plane(
-            f1, perplexity=pipeline.tsne.perplexity,
-            iterations=pipeline.tsne.iterations,
-            learning_rate=pipeline.tsne.learning_rate, seed=seed,
-        )
-        flags = [node.is_manufacturer for node in full_graph.nodes]
-        features = integrate_features(codes, f2, flags)
-    else:
-        features = codes_only_features(codes)
+    # paragraphs come from the masked graph so they cannot mention the
+    # target; manufacturer ids agree since the target is appended last
+    features = build_features(
+        full_graph, method.use_fa, pipeline.embedding, pipeline.tsne, seed, paragraphs_from=task.graph,
+    ).features
     train_cfg = replace(pipeline.train, seed=seed)
     _, outcome = train_link_predictor(
         full_graph, features, [task.target_name], train_cfg, method.encoder, pipeline.ratios,

@@ -10,6 +10,7 @@ cross-entropy with bias-corrected Adam.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -516,8 +517,8 @@ class TrainConfig:
     head_mean: bool = False
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise DataError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # False for NaN
+            raise DataError("learning rate must be positive and finite")
         if self.class_weights is not None and any(w <= 0 for w in self.class_weights):
             raise DataError("class weights must be positive")
 

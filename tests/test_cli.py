@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import capgraph
 from capgraph.cli import main
 
 FAST_FLAGS = [
@@ -165,6 +169,44 @@ def test_train_unknown_target_exit_2(planted_dir, tmp_path):
         "--target", "nope", "--out", str(tmp_path / "x"), *FAST_FLAGS,
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--negatives", "-1"),
+    ("--perplexity", "nan"),
+    ("--tsne-iters", "-5"),
+    ("--embed-epochs", "-2"),
+])
+def test_train_invalid_fa_setting_exit_2(planted_dir, tmp_path, capsys, flag, value):
+    assert _train(planted_dir, tmp_path / "run", flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "Traceback" not in err
+
+
+def test_train_run_dir_independent_of_blas_threads(tmp_path):
+    # t-SNE makes no BLAS call, whose results change with its thread count;
+    # at 150 manufacturers the BLAS-based t-SNE differed under 1 and 2 threads
+    data = tmp_path / "data"
+    assert main(["gen-planted", "--manufacturers", "150", "--seed", "5", "--out", str(data)]) == 0
+    src = str(Path(capgraph.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "capgraph.cli", "train",
+             "--nodes", str(data / "nodes.tsv"), "--edges", str(data / "edges.tsv"),
+             "--target", "target capability", "--method", "sf", "--seed", "11",
+             "--max-epochs", "20", "--patience", "8", "--hidden", "8", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        runs.append(out)
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir())
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 def test_train_link_method_seng_rejected(planted_dir, tmp_path, capsys):

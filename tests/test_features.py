@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from capgraph import features
 from capgraph.errors import DataError, NumericError
 from capgraph.features import (
     build_neighbor_paragraphs,
@@ -32,10 +37,12 @@ from conftest import small_mixed_graph
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the straightforward loops the library's buffered versions must
-# reproduce bit for bit. FA features are chaotic in float rounding (t-SNE
-# turns a one-ulp input difference into O(1) within 80 iterations), so a
-# speed-up of these loops has to keep every operation and its order.
+# Oracles: the straightforward single-block loops the library's buffered,
+# row-blocked versions must reproduce bit for bit. FA features are chaotic
+# in float rounding (t-SNE turns a one-ulp input difference into O(1) within
+# 80 iterations), so a speed-up of these loops has to keep every operation
+# and its order. The t-SNE oracles use no BLAS call, as the library does not:
+# BLAS results change with its thread count.
 # ---------------------------------------------------------------------------
 
 
@@ -91,17 +98,13 @@ def _pv_oracle(paragraphs, dim, epochs, learning_rate=0.025, negatives=5, seed=0
     return vectors
 
 
-def _squared_distances_oracle(x):
+def _conditional_affinities_oracle(f1, perplexity):
+    x = np.asarray(f1, dtype=np.float64)
+    n = x.shape[0]
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    d2 = (sq[:, None] + sq[None, :]) - np.einsum("ik,jk->ij", 2.0 * x, x)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
-    return d2
-
-
-def _conditional_affinities_oracle(f1, perplexity):
-    n = f1.shape[0]
-    d2 = _squared_distances_oracle(np.asarray(f1, dtype=np.float64))
     target_entropy = np.log(perplexity)
     beta = np.ones(n)
     beta_min = np.full(n, -np.inf)
@@ -113,7 +116,7 @@ def _conditional_affinities_oracle(f1, perplexity):
         w[eye] = 0.0
         sum_w = np.maximum(w.sum(axis=1), 1e-300)
         p = w / sum_w[:, None]
-        entropy = np.log(sum_w) + beta * np.sum(d2 * w, axis=1) / sum_w
+        entropy = np.log(sum_w) + beta * np.einsum("ij,ij->i", d2, w) / sum_w
         diff = entropy - target_entropy
         too_high = diff > 0
         beta_min = np.where(too_high, beta, beta_min)
@@ -134,7 +137,9 @@ def _joint_affinities_oracle(f1, perplexity):
 
 
 def _student_t_kernel_oracle(y):
-    num = 1.0 / (1.0 + _squared_distances_oracle(y))
+    dx = y[:, 0, None] - y[None, :, 0]
+    dy = y[:, 1, None] - y[None, :, 1]
+    num = 1.0 / ((1.0 + dx * dx) + dy * dy)
     np.fill_diagonal(num, 0.0)
     return num
 
@@ -152,11 +157,13 @@ def _tsne_oracle(f1, perplexity, iterations, learning_rate=200.0, seed=0):
     update = np.zeros_like(y)
     gains = np.ones_like(y)
     for it in range(iterations):
-        p_eff = p * 12.0 if it < 100 else p
+        exaggeration = 12.0 if it < 100 else 1.0
         num = _student_t_kernel_oracle(y)
-        q = np.maximum(num / num.sum(), 1e-12)
-        pq = (p_eff - q) * num
-        grad = 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
+        z = num.sum(axis=1).sum()
+        # (exaggeration * P - Q) * num, with the exaggeration factored out
+        pq = (p - np.maximum(num / (z * exaggeration), 1e-12 / exaggeration)) * num
+        attraction = np.stack([np.einsum("ij,j->i", pq, col) for col in y.T.copy()], axis=1)
+        grad = (4.0 * exaggeration) * (pq.sum(axis=1)[:, None] * y - attraction)
         momentum = 0.5 if it < 250 else 0.8
         same_sign = np.sign(grad) == np.sign(update)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)
@@ -165,6 +172,14 @@ def _tsne_oracle(f1, perplexity, iterations, learning_rate=200.0, seed=0):
         y = y + update
         y = y - y.mean(axis=0)
     return y
+
+
+@contextlib.contextmanager
+def _forced_row_blocks(parts):
+    """Make the library split its n x n work into `parts` row blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "_row_blocks", functools.partial(features._row_blocks, parts=parts))
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +394,46 @@ def test_tsne_deterministic():
 def test_affinities_match_oracle_bitwise():
     x = _gaussian_blobs(n_per=14, seed=7)
     x[5] = x[4]  # a zero off-diagonal distance
-    for perplexity in (4.0, default_perplexity(x.shape[0])):
-        assert np.array_equal(joint_affinities(x, perplexity), _joint_affinities_oracle(x, perplexity))
-        assert np.array_equal(conditional_affinities(x, perplexity),
-                              _conditional_affinities_oracle(x, perplexity))
+    for parts in (1, 2, 3):
+        with _forced_row_blocks(parts):
+            for perplexity in (4.0, default_perplexity(x.shape[0])):
+                assert np.array_equal(joint_affinities(x, perplexity), _joint_affinities_oracle(x, perplexity))
+                assert np.array_equal(conditional_affinities(x, perplexity),
+                                      _conditional_affinities_oracle(x, perplexity))
 
 
 def test_tsne_matches_oracle_bitwise():
     # 260 iterations cross both the exaggeration (100) and momentum (250) switches
     x = _gaussian_blobs(n_per=14, seed=8)
     perplexity = default_perplexity(x.shape[0])
-    got = reduce_to_plane(x, iterations=260, seed=2)
-    assert np.array_equal(got, _tsne_oracle(x, perplexity, iterations=260, seed=2))
+    expected = _tsne_oracle(x, perplexity, iterations=260, seed=2)
+    for parts in (1, 2, 3):
+        with _forced_row_blocks(parts):
+            assert np.array_equal(reduce_to_plane(x, iterations=260, seed=2), expected)
+
+
+def test_row_blocks_partition_rows():
+    for n, parts in ((42, 1), (42, 2), (43, 3), (5, 8)):
+        blocks = features._row_blocks(n, parts)
+        assert len(blocks) == min(n, parts)
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        assert max(b.stop - b.start for b in blocks) - min(b.stop - b.start for b in blocks) <= 1
+
+
+def test_tsne_peak_memory_below_three_and_a_half_matrices():
+    # P and two n x n buffers; an exaggerated copy of P would make four.
+    # Two blocks whatever the CPU count: each thread's einsum buffers add a
+    # fixed ~0.2 MB, 0.3 n^2 doubles at this n.
+    x = _gaussian_blobs(n_per=100, d=8, seed=9)  # n = 300
+    n = x.shape[0]
+    with _forced_row_blocks(2):
+        tracemalloc.start()
+        try:
+            reduce_to_plane(x, iterations=105, seed=0)  # crosses the exaggeration switch
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 3.5 * n * n * 8
 
 
 def test_tsne_perplexity_infeasible():
