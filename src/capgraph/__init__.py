@@ -52,10 +52,8 @@ from .models import (
     TrainConfig,
     adam_step,
     forward,
-    gcn_forward,
     load_checkpoint,
     predict_labels,
-    sage_forward,
     save_checkpoint,
     train_link_predictor,
     train_node_classifier,

@@ -14,12 +14,14 @@ import csv
 import json
 import os
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .features import EmbeddingConfig, TsneConfig, load_matrix, save_matrix
+from .features import load_matrix, save_matrix
 from .graph import (
     Graph,
     ServiceCategory,
@@ -37,7 +39,9 @@ from .harness import (
     MethodSpec,
     MetricReport,
     PipelineConfig,
+    RESULTS_HEADER,
     PlantedDatasetSpec,
+    SweepCell,
     SweepSpec,
     generate_planted_dataset,
     results_rows,
@@ -49,18 +53,14 @@ from .harness import (
 )
 from .metrics import auc_pr, auc_roc
 from .models import (
-    TrainConfig,
     forward,
     load_checkpoint,
     predict_labels,
     save_checkpoint,
 )
-from .seng import SengConfig, write_audit_file
+from .seng import write_audit_file
 
-METRICS_HEADER = [
-    "dataset", "method", "axis", "value", "repeat",
-    "auc_roc", "auc_pr", "seed", "epochs_run",
-]
+METRICS_HEADER = RESULTS_HEADER[:-1]  # no wall_ms: a run directory is the same on every rerun
 
 _METHOD_FLAGS = {
     "plain": (False, False),
@@ -80,83 +80,86 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Configuration: documented defaults, JSON file, then flags.
+# Configuration: the config dataclasses' defaults, JSON file, then flags.
 # ---------------------------------------------------------------------------
 
-DEFAULTS: dict[str, object] = {
-    "seed": 0,
-    "ratios": [0.8, 0.1, 0.1],
+# The pipeline settings that config.json holds and flags set, by section (a
+# `PipelineConfig` field) and dataclass field: (flag, help[, default shown]).
+# Each help ends in the field's default unless a text for it is given.
+_PIPELINE_FLAGS: dict[str, dict[str, tuple[str, ...]]] = {
     "seng": {
-        "oversampling_scale": 1.0,
-        "ratio_threshold": 0.7,
-        "alpha_choices": [2, 3, 4],
-        "literal_count_formula": False,
+        "oversampling_scale": ("--os", "SENG oversampling scale"),
+        "ratio_threshold": ("--ratio-threshold", "skip SENG when the training imbalance ratio exceeds this"),
+        "alpha_choices": ("--alpha-choices", "comma list of SENG bag sizes from {2,3,4}"),
+        "literal_count_formula": ("--literal-count", "use the literal (1+OS)*|c2| synthetic-node count"),
     },
-    "embedding": {"dim": 64, "epochs": 40, "learning_rate": 0.025, "negatives": 5},
-    "tsne": {"perplexity": None, "iterations": 500, "learning_rate": 200.0},
+    "embedding": {
+        "dim": ("--embed-dim", "paragraph-vector width"),
+        "epochs": ("--embed-epochs", "paragraph-vector epochs"),
+        "learning_rate": ("--embed-lr", "paragraph-vector learning rate"),
+        "negatives": ("--negatives", "negative samples per word"),
+    },
+    "tsne": {
+        "perplexity": ("--perplexity", "t-SNE perplexity", "min(30,(n-1)/3)"),
+        "iterations": ("--tsne-iters", "t-SNE iterations"),
+        "learning_rate": ("--tsne-lr", "t-SNE learning rate"),
+    },
     "train": {
-        "learning_rate": 0.01,
-        "max_epochs": 415,
-        "patience": 50,
-        "d_hidden": 16,
-        "threshold": 0.5,
-        "fanout": None,
-        "head_relu": False,
-        "head_mean": False,
+        "learning_rate": ("--lr", "classifier learning rate"),
+        "max_epochs": ("--max-epochs", "maximum training epochs"),
+        "patience": ("--patience", "early-stop patience on validation AUC-ROC"),
+        "d_hidden": ("--hidden", "hidden width"),
+        "threshold": ("--threshold", "classification threshold"),
+        "fanout": ("--fanout", "neighbor sample cap", "full neighborhood"),
+        "head_relu": ("--head-relu", "gate the classification head with a ReLU before the sigmoid"),
+        "head_mean": ("--head-mean", "mean-normalize the head's neighbor aggregation instead of summing"),
     },
 }
 
-_FLAG_PATHS = {
-    "seed": ("seed",),
-    "os": ("seng", "oversampling_scale"),
-    "ratio_threshold": ("seng", "ratio_threshold"),
-    "alpha_choices": ("seng", "alpha_choices"),
-    "literal_count": ("seng", "literal_count_formula"),
-    "embed_dim": ("embedding", "dim"),
-    "embed_epochs": ("embedding", "epochs"),
-    "embed_lr": ("embedding", "learning_rate"),
-    "negatives": ("embedding", "negatives"),
-    "perplexity": ("tsne", "perplexity"),
-    "tsne_iters": ("tsne", "iterations"),
-    "tsne_lr": ("tsne", "learning_rate"),
-    "lr": ("train", "learning_rate"),
-    "max_epochs": ("train", "max_epochs"),
-    "patience": ("train", "patience"),
-    "hidden": ("train", "d_hidden"),
-    "threshold": ("train", "threshold"),
-    "fanout": ("train", "fanout"),
-    "head_relu": ("train", "head_relu"),
-    "head_mean": ("train", "head_mean"),
+_DEFAULT = PipelineConfig()
+_SECTIONS = {f.name: type(f.default) for f in fields(PipelineConfig) if f.name in _PIPELINE_FLAGS}
+_TYPES = {section: typing.get_type_hints(cls) for section, cls in _SECTIONS.items()}
+DEFAULTS: dict[str, typing.Any] = {
+    "seed": _DEFAULT.train.seed,
+    "ratios": _DEFAULT.ratios,
+    **{
+        section: {name: getattr(getattr(_DEFAULT, section), name) for name in flags}
+        for section, flags in _PIPELINE_FLAGS.items()
+    },
 }
+
+
+def _cast(hint, value):
+    """A config value as the field type `hint`: int, float, bool, a tuple of
+    ints, or one of these or None."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if value is None else _cast(args[0], value)
+    if typing.get_origin(hint) is tuple:
+        return tuple(args[0](v) for v in value)
+    return hint(value)
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}") from None
 
 
 def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, help="JSON config file mirroring the pipeline settings")
-    sub.add_argument("--seed", type=int, help="global seed (default: $CAPGRAPH_SEED or 0)")
-    sub.add_argument("--os", type=float, dest="os", help="SENG oversampling scale (default: 1.0)")
-    sub.add_argument("--ratio-threshold", type=float,
-                     help="skip SENG when the training imbalance ratio exceeds this (default: 0.7)")
-    sub.add_argument("--alpha-choices", type=str,
-                     help="comma list of SENG bag sizes from {2,3,4} (default: 2,3,4)")
-    sub.add_argument("--literal-count", action="store_const", const=True, default=None,
-                     help="use the literal (1+OS)*|c2| synthetic-node count (default: off)")
-    sub.add_argument("--embed-dim", type=int, help="paragraph-vector width (default: 64)")
-    sub.add_argument("--embed-epochs", type=int, help="paragraph-vector epochs (default: 40)")
-    sub.add_argument("--embed-lr", type=float, help="paragraph-vector learning rate (default: 0.025)")
-    sub.add_argument("--negatives", type=int, help="negative samples per word (default: 5)")
-    sub.add_argument("--perplexity", type=float, help="t-SNE perplexity (default: min(30,(n-1)/3))")
-    sub.add_argument("--tsne-iters", type=int, help="t-SNE iterations (default: 500)")
-    sub.add_argument("--tsne-lr", type=float, help="t-SNE learning rate (default: 200)")
-    sub.add_argument("--lr", type=float, help="classifier learning rate (default: 0.01)")
-    sub.add_argument("--max-epochs", type=int, help="maximum training epochs (default: 415)")
-    sub.add_argument("--patience", type=int, help="early-stop patience on validation AUC-ROC (default: 50)")
-    sub.add_argument("--hidden", type=int, help="hidden width (default: 16)")
-    sub.add_argument("--threshold", type=float, help="classification threshold (default: 0.5)")
-    sub.add_argument("--fanout", type=int, help="neighbor sample cap (default: full neighborhood)")
-    sub.add_argument("--head-relu", action="store_const", const=True, default=None,
-                     help="gate the classification head with a ReLU before the sigmoid (default: off)")
-    sub.add_argument("--head-mean", action="store_const", const=True, default=None,
-                     help="mean-normalize the head's neighbor aggregation instead of summing (default: off)")
+    sub.add_argument("--seed", type=int, help=f"global seed (default: $CAPGRAPH_SEED or {DEFAULTS['seed']})")
+    for section, flags in _PIPELINE_FLAGS.items():
+        for name, (flag, text, *shown) in flags.items():
+            hint, default = _TYPES[section][name], DEFAULTS[section][name]
+            if hint is bool:
+                kwargs, default = {"action": "store_const", "const": True}, "off"
+            elif typing.get_origin(hint) is tuple:
+                kwargs, default = {"type": _int_list}, ",".join(map(str, default))
+            else:  # int or float, or either or None
+                kwargs = {"type": (typing.get_args(hint) or (hint,))[0]}
+            sub.add_argument(flag, help=f"{text} (default: {shown[0] if shown else default})", **kwargs)
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -181,61 +184,34 @@ def effective_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config file {path} must hold a JSON object")
         config = _merge(config, file_cfg)
     env_seed = os.environ.get("CAPGRAPH_SEED")
-    if env_seed is not None and getattr(args, "seed", None) is None:
+    if getattr(args, "seed", None) is not None:
+        config["seed"] = args.seed
+    elif env_seed is not None:
         try:
             config["seed"] = int(env_seed)
         except ValueError:
             raise UsageError(f"CAPGRAPH_SEED must be an integer, got {env_seed!r}") from None
-    for flag, keys in _FLAG_PATHS.items():
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        if flag == "alpha_choices":
-            value = [int(tok) for tok in str(value).split(",") if tok]
-        node = config
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
+    for section, flags in _PIPELINE_FLAGS.items():
+        for name, (flag, *_) in flags.items():
+            value = getattr(args, flag[2:].replace("-", "_"), None)  # argparse's dest
+            if value is not None:
+                config[section][name] = value
     return config
 
 
 def pipeline_from_config(config: dict) -> PipelineConfig:
     try:
-        seng = SengConfig(
-            oversampling_scale=float(config["seng"]["oversampling_scale"]),
-            ratio_threshold=float(config["seng"]["ratio_threshold"]),
-            alpha_choices=tuple(int(a) for a in config["seng"]["alpha_choices"]),
-            seed=int(config["seed"]),
-            literal_count_formula=bool(config["seng"]["literal_count_formula"]),
-        )
-        embedding = EmbeddingConfig(
-            dim=int(config["embedding"]["dim"]),
-            epochs=int(config["embedding"]["epochs"]),
-            learning_rate=float(config["embedding"]["learning_rate"]),
-            negatives=int(config["embedding"]["negatives"]),
-        )
-        perplexity = config["tsne"]["perplexity"]
-        tsne_cfg = TsneConfig(
-            perplexity=None if perplexity is None else float(perplexity),
-            iterations=int(config["tsne"]["iterations"]),
-            learning_rate=float(config["tsne"]["learning_rate"]),
-        )
-        fanout = config["train"]["fanout"]
-        train = TrainConfig(
-            learning_rate=float(config["train"]["learning_rate"]),
-            max_epochs=int(config["train"]["max_epochs"]),
-            patience=int(config["train"]["patience"]),
-            d_hidden=int(config["train"]["d_hidden"]),
-            threshold=float(config["train"]["threshold"]),
-            fanout=None if fanout is None else int(fanout),
-            head_relu=bool(config["train"]["head_relu"]),
-            head_mean=bool(config["train"]["head_mean"]),
-            seed=int(config["seed"]),
-        )
+        seed = int(config["seed"])
+        sections = {}
+        for section, flags in _PIPELINE_FLAGS.items():
+            values = {name: _cast(_TYPES[section][name], config[section][name]) for name in flags}
+            if "seed" in _TYPES[section]:
+                values["seed"] = seed
+            sections[section] = _SECTIONS[section](**values)
         ratios = tuple(float(r) for r in config["ratios"])
         if len(ratios) != 3:
             raise UsageError("ratios must list three values")
-        return PipelineConfig(ratios=ratios, seng=seng, embedding=embedding, tsne=tsne_cfg, train=train)
+        return PipelineConfig(ratios=ratios, **sections)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad configuration: {exc}") from exc
 
@@ -254,13 +230,6 @@ def _echo_config(out_dir: Path, config: dict, extra: dict) -> None:
     (out_dir / "config.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def _write_metrics_csv(path: Path, rows: list[dict[str, object]]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRICS_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +278,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metric_rows(dataset: str, method: MethodSpec, report, axis: str = "-", value: str = "-") -> list[dict]:
-    rows = []
-    for i, rep in enumerate(report.per_repeat):
-        rows.append(
-            {
-                "dataset": dataset,
-                "method": method.name,
-                "axis": axis,
-                "value": value,
-                "repeat": i,
-                "auc_roc": repr(rep.auc_roc),
-                "auc_pr": repr(rep.auc_pr),
-                "seed": rep.seed,
-                "epochs_run": rep.epochs_run,
-            }
-        )
-    return rows
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     config = effective_config(args)
     pipeline = pipeline_from_config(config)
@@ -373,7 +323,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             for entry in artifacts.log:
                 writer.writerow([entry.epoch, repr(entry.train_loss), repr(entry.valid_auc)])
 
-    _write_metrics_csv(out_dir / "metrics.csv", _metric_rows(args.target, method, report))
+    rows = results_rows(args.target, method, "-", [SweepCell("-", report)])
+    write_results_csv(out_dir / "metrics.csv", rows, METRICS_HEADER)
     (out_dir / "report.json").write_text(
         json.dumps(
             {
@@ -507,10 +458,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_gen_planted(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed
-    if seed is None:
-        env_seed = os.environ.get("CAPGRAPH_SEED")
-        seed = int(env_seed) if env_seed is not None else 0
+    seed = effective_config(args)["seed"]
     spec = PlantedDatasetSpec(
         n_manufacturers=args.manufacturers,
         n_services_per_category=args.services_per_category,

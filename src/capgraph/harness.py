@@ -319,7 +319,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepCell:
-    value: float
+    value: float | str  # a grid value, or "-" for a single train run
     report: MetricReport
 
 
@@ -368,7 +368,7 @@ def results_rows(
                     "dataset": dataset,
                     "method": method.name,
                     "axis": axis,
-                    "value": repr(cell.value),
+                    "value": str(cell.value),
                     "repeat": i,
                     "auc_roc": repr(rep.auc_roc),
                     "auc_pr": repr(rep.auc_pr),
@@ -380,9 +380,12 @@ def results_rows(
     return rows
 
 
-def write_results_csv(path: Path | str, rows: list[dict[str, object]]) -> None:
+def write_results_csv(
+    path: Path | str, rows: list[dict[str, object]], header: list[str] = RESULTS_HEADER
+) -> None:
+    """The rows as CSV under `header`; row keys outside it are left out."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULTS_HEADER)
+        writer = csv.DictWriter(fh, fieldnames=header, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
 

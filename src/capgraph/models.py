@@ -1,17 +1,23 @@
-"""Two-layer GraphSAGE and GCN classifiers with exact hand-rolled gradients.
+"""Two-layer GraphSAGE and GCN models with exact hand-rolled gradients.
 
 Row-vector convention throughout: features are (p, d) matrices, weights
-multiply on the right. The GraphSAGE head concatenates a node's layer-2
-embedding with the unnormalized sum of its neighbors' layer-2 embeddings
-(the adjacency-column product), passes it through an optional ReLU, and
-squashes with a sigmoid. Training minimizes a class-weighted binary
-cross-entropy with bias-corrected Adam.
+multiply on the right. Both encoders run one two-layer pass and differ only
+in the neighbour step before each weight product (`NeighborStep`): GraphSAGE
+takes [h, M h] with M the mean aggregator, GCN takes S h with S the
+symmetric-normalized propagation. The GraphSAGE head concatenates a node's
+layer-2 embedding with the unnormalized sum of its neighbors' layer-2
+embeddings (the adjacency-column product), passes it through an optional
+ReLU, and squashes with a sigmoid; the GCN head is linear + sigmoid. Node
+classification (class-weighted binary cross-entropy) and link prediction
+(inner-product decoder) share one bias-corrected Adam loop with early
+stopping on validation AUC-ROC.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -52,6 +58,12 @@ class ModelParameters:
     head_relu: bool = False
     head_mean: bool = False
 
+    def __post_init__(self) -> None:
+        if (self.head_relu or self.head_mean) and (self.kind != "graphsage" or self.w3 is None):
+            raise DataError(
+                "head_relu / head_mean (--head-relu / --head-mean) apply to GraphSAGE node classification only"
+            )
+
     @property
     def d_hidden(self) -> int:
         return self.w1.shape[1]
@@ -87,16 +99,12 @@ def init_parameters(
     head_relu: bool = False,
     head_mean: bool = False,
 ) -> ModelParameters:
-    if kind == "graphsage":
-        w1 = _glorot(rng, 2 * input_dim, d_hidden)
-        w2 = _glorot(rng, 2 * d_hidden, d_hidden)
-        w3 = _glorot(rng, 2 * d_hidden, 1) if with_head else None
-    elif kind == "gcn":
-        w1 = _glorot(rng, input_dim, d_hidden)
-        w2 = _glorot(rng, d_hidden, d_hidden)
-        w3 = _glorot(rng, d_hidden, 1) if with_head else None
-    else:
+    if kind not in _KIND_BYTES:
         raise DataError(f"unknown model kind {kind!r}")
+    k = 2 if kind == "graphsage" else 1  # GraphSAGE's products take [h, M h]
+    w1 = _glorot(rng, k * input_dim, d_hidden)
+    w2 = _glorot(rng, k * d_hidden, d_hidden)
+    w3 = _glorot(rng, k * d_hidden, 1) if with_head else None
     return ModelParameters(kind, w1, w2, w3, head_relu=head_relu, head_mean=head_mean)
 
 
@@ -156,15 +164,12 @@ class BlockOperator:
         return sums
 
 
-Adjacency = Graph | BlockOperator | np.ndarray
+Adjacency = Graph | np.ndarray
 
 
 def adjacency_operator(adjacency: Adjacency) -> BlockOperator:
     """A as a block operator: a graph's cached blocks, or a dense p x p array
-    taken as it is (I empty, C the array: no copy, no scan for nonzeros). An
-    operator passes through unchanged."""
-    if isinstance(adjacency, BlockOperator):
-        return adjacency
+    taken as it is (I empty, C the array: no copy, no scan for nonzeros)."""
     if isinstance(adjacency, Graph):
         return BlockOperator(*adjacency.adjacency_blocks())
     a = np.asarray(adjacency, dtype=np.float64)
@@ -174,7 +179,7 @@ def adjacency_operator(adjacency: Adjacency) -> BlockOperator:
     )
 
 
-def _fanout_sample(adjacency: Graph | np.ndarray, fanout: int, rng: np.random.Generator) -> BlockOperator:
+def _fanout_sample(adjacency: Adjacency, fanout: int, rng: np.random.Generator) -> BlockOperator:
     """A with each row cut to min(degree, fanout) of its entries, drawn
     uniformly without replacement: every entry gets one random key and each
     row keeps its `fanout` smallest keys."""
@@ -201,12 +206,11 @@ def mean_aggregation_matrix(
     rng: np.random.Generator | None = None,
 ) -> BlockOperator:
     """Row-normalized (optionally fanout-sampled) adjacency D^-1 A; zero rows
-    for isolated nodes. `adjacency` is a graph, a dense 0/1 matrix, or an
-    unscaled operator (not with fanout)."""
+    for isolated nodes. `adjacency` is a graph or a dense 0/1 matrix."""
     if fanout is not None:
         if rng is None:
             raise DataError("fanout sampling requires a random generator")
-        a = _fanout_sample(adjacency, fanout, rng)  # type: ignore[arg-type]
+        a = _fanout_sample(adjacency, fanout, rng)
     else:
         a = adjacency_operator(adjacency)
     degrees = a.row_sums()
@@ -222,120 +226,104 @@ def gcn_propagation_matrix(adjacency: Adjacency) -> BlockOperator:
 
 
 # ---------------------------------------------------------------------------
-# Forward passes.  Caches hold every intermediate the backward pass needs.
+# The encoder.  GraphSAGE and GCN share one two-layer pass and differ only in
+# the neighbour step that feeds each weight product.
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class NeighborStep:
+    """The map from a layer's input h to its weight product's input:
+    GraphSAGE's [h, op h] (`concat`), GCN's op h, or h itself (op None)."""
+
+    op: BlockOperator | None
+    concat: bool = False
+
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        if self.op is None:
+            return h
+        return np.hstack([h, self.op @ h]) if self.concat else self.op @ h
+
+    def backward(self, dc: np.ndarray) -> np.ndarray:
+        """dLoss/dh given dLoss/d(step(h))."""
+        if self.op is None:
+            return dc
+        if not self.concat:
+            return self.op.T @ dc
+        d = dc.shape[1] // 2
+        return dc[:, :d] + self.op.T @ dc[:, d:]
+
+
+def neighbor_steps(
+    kind: str,
+    adjacency: Adjacency,
+    head_mean: bool = False,
+    fanout: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> tuple[NeighborStep, NeighborStep]:
+    """The (layer, head) steps of an encoder on `adjacency`. GraphSAGE layers
+    take [h, M h] with M the (fanout-sampled) mean aggregator, and its head
+    [h2, A h2], or [h2, M h2] with `head_mean`. GCN layers take S h, its head
+    h2 itself; GCN ignores `fanout`."""
+    if kind == "gcn":
+        return NeighborStep(gcn_propagation_matrix(adjacency)), NeighborStep(None)
+    m = mean_aggregation_matrix(adjacency, fanout, rng)
+    head = m if head_mean else adjacency_operator(adjacency)
+    return NeighborStep(m, concat=True), NeighborStep(head, concat=True)
+
+
 @dataclass
-class SageCache:
-    x: np.ndarray
-    agg: BlockOperator  # row-normalized mean aggregator
-    head_agg: BlockOperator  # neighbor operator used by the head term
+class EncoderCache:
+    """Every intermediate the backward pass needs: c_k is the input of the
+    product with w_k, z_k its output, h_k = relu(z_k)."""
+
+    layer: NeighborStep
+    head: NeighborStep
     c1: np.ndarray
     z1: np.ndarray
     h1: np.ndarray
     c2: np.ndarray
     z2: np.ndarray
     h2: np.ndarray
-    c3: np.ndarray | None
-    z3: np.ndarray | None
-    p: np.ndarray | None
+    c3: np.ndarray | None = None
+    z3: np.ndarray | None = None
+    p: np.ndarray | None = None
 
 
-def sage_encode(
+def encode(
     features: np.ndarray,
     adjacency: Adjacency,
     params: ModelParameters,
-    agg: BlockOperator | None = None,
-) -> SageCache:
-    x = np.asarray(features, dtype=np.float64)
-    a = adjacency_operator(adjacency)
-    m = mean_aggregation_matrix(a) if agg is None else agg
-    c1 = np.hstack([x, m @ x])
+    steps: tuple[NeighborStep, NeighborStep] | None = None,
+) -> EncoderCache:
+    """Two-layer encoder pass (no head). `adjacency` is a graph (its cached
+    blocks) or a dense p x p array; `steps`, when given, are its prebuilt
+    `neighbor_steps`."""
+    layer, head = neighbor_steps(params.kind, adjacency, params.head_mean) if steps is None else steps
+    c1 = layer(np.asarray(features, dtype=np.float64))
     z1 = c1 @ params.w1
     h1 = np.maximum(z1, 0.0)
-    c2 = np.hstack([h1, m @ h1])
+    c2 = layer(h1)
     z2 = c2 @ params.w2
     h2 = np.maximum(z2, 0.0)
-    head_agg = m if params.head_mean else a
-    return SageCache(x, m, head_agg, c1, z1, h1, c2, z2, h2, None, None, None)
-
-
-def sage_forward(
-    features: np.ndarray,
-    adjacency: Adjacency,
-    params: ModelParameters,
-    agg: BlockOperator | None = None,
-) -> SageCache:
-    """Full node-classification pass; cache carries (h1, h2, p)."""
-    if params.w3 is None:
-        raise DataError("model has no classification head")
-    cache = sage_encode(features, adjacency, params, agg)
-    cache.c3 = np.hstack([cache.h2, cache.head_agg @ cache.h2])
-    cache.z3 = cache.c3 @ params.w3
-    t = np.maximum(cache.z3, 0.0) if params.head_relu else cache.z3
-    cache.p = _sigmoid(t)[:, 0]
-    return cache
-
-
-@dataclass
-class GcnCache:
-    x: np.ndarray
-    s: BlockOperator
-    sx: np.ndarray
-    z1: np.ndarray
-    h1: np.ndarray
-    sh1: np.ndarray
-    z2: np.ndarray
-    h2: np.ndarray
-    z3: np.ndarray | None
-    p: np.ndarray | None
-
-
-def gcn_encode(
-    features: np.ndarray,
-    adjacency: Adjacency,
-    params: ModelParameters,
-    prop: BlockOperator | None = None,
-) -> GcnCache:
-    x = np.asarray(features, dtype=np.float64)
-    s = gcn_propagation_matrix(adjacency) if prop is None else prop
-    sx = s @ x
-    z1 = sx @ params.w1
-    h1 = np.maximum(z1, 0.0)
-    sh1 = s @ h1
-    z2 = sh1 @ params.w2
-    h2 = np.maximum(z2, 0.0)
-    return GcnCache(x, s, sx, z1, h1, sh1, z2, h2, None, None)
-
-
-def gcn_forward(
-    features: np.ndarray,
-    adjacency: Adjacency,
-    params: ModelParameters,
-    prop: BlockOperator | None = None,
-) -> GcnCache:
-    """Two symmetric-normalized propagation layers, then linear + sigmoid head."""
-    if params.w3 is None:
-        raise DataError("model has no classification head")
-    cache = gcn_encode(features, adjacency, params, prop)
-    cache.z3 = cache.h2 @ params.w3
-    cache.p = _sigmoid(cache.z3)[:, 0]
-    return cache
+    return EncoderCache(layer, head, c1, z1, h1, c2, z2, h2)
 
 
 def forward(
-    features: np.ndarray, adjacency: Adjacency, params: ModelParameters
-) -> tuple[np.ndarray, SageCache | GcnCache]:
-    """Kind-dispatched node-classification forward; returns (P, cache).
-    `adjacency` is a graph (its cached blocks), a dense p x p array, or an
-    unscaled `BlockOperator`."""
-    cache = (
-        sage_forward(features, adjacency, params)
-        if params.kind == "graphsage"
-        else gcn_forward(features, adjacency, params)
-    )
-    assert cache.p is not None
+    features: np.ndarray,
+    adjacency: Adjacency,
+    params: ModelParameters,
+    steps: tuple[NeighborStep, NeighborStep] | None = None,
+) -> tuple[np.ndarray, EncoderCache]:
+    """Node-classification pass, the encoder then the sigmoid head; returns
+    (P, cache)."""
+    if params.w3 is None:
+        raise DataError("model has no classification head")
+    cache = encode(features, adjacency, params, steps)
+    cache.c3 = cache.head(cache.h2)
+    cache.z3 = cache.c3 @ params.w3
+    t = np.maximum(cache.z3, 0.0) if params.head_relu else cache.z3
+    cache.p = _sigmoid(t)[:, 0]
     return cache.p, cache
 
 
@@ -387,69 +375,31 @@ def bce_logit_gradient(
     return grad
 
 
-def sage_encoder_backward(
-    cache: SageCache, params: ModelParameters, dz2: np.ndarray
+def encoder_backward(
+    cache: EncoderCache, params: ModelParameters, dz2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients w.r.t. (w1, w2) given dLoss/dz2, the pre-ReLU layer-2 output."""
     gw2 = cache.c2.T @ dz2
-    dc2 = dz2 @ params.w2.T
-    dh = params.d_hidden
-    dh1 = dc2[:, :dh] + cache.agg.T @ dc2[:, dh:]
-    dz1 = dh1 * (cache.z1 > 0)
+    dz1 = cache.layer.backward(dz2 @ params.w2.T) * (cache.z1 > 0)
     gw1 = cache.c1.T @ dz1
     return gw1, gw2
 
 
-def sage_backward(
-    cache: SageCache, params: ModelParameters, dt: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact gradients of the loss w.r.t. (w1, w2, w3) given dLoss/d(pre-sigmoid)."""
-    assert cache.z3 is not None and cache.c3 is not None and params.w3 is not None
-    dt = np.asarray(dt, dtype=np.float64)[:, None]
-    dz3 = dt * (cache.z3 > 0) if params.head_relu else dt
-    gw3 = cache.c3.T @ dz3
-    dc3 = dz3 @ params.w3.T
-    dh = params.d_hidden
-    d_h2 = dc3[:, :dh] + cache.head_agg.T @ dc3[:, dh:]
-    gw1, gw2 = sage_encoder_backward(cache, params, d_h2 * (cache.z2 > 0))
-    return gw1, gw2, gw3
-
-
-def gcn_encoder_backward(
-    cache: GcnCache, params: ModelParameters, dz2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients w.r.t. (w1, w2) given dLoss/dz2, the pre-ReLU layer-2 output."""
-    gw2 = cache.sh1.T @ dz2
-    dh1 = cache.s.T @ (dz2 @ params.w2.T)
-    dz1 = dh1 * (cache.z1 > 0)
-    gw1 = cache.sx.T @ dz1
-    return gw1, gw2
-
-
-def gcn_backward(
-    cache: GcnCache, params: ModelParameters, dt: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    assert cache.z3 is not None and params.w3 is not None
-    dz3 = np.asarray(dt, dtype=np.float64)[:, None]
-    gw3 = cache.h2.T @ dz3
-    d_h2 = dz3 @ params.w3.T
-    gw1, gw2 = gcn_encoder_backward(cache, params, d_h2 * (cache.z2 > 0))
-    return gw1, gw2, gw3
-
-
 def backward(
-    cache: SageCache | GcnCache,
+    cache: EncoderCache,
     params: ModelParameters,
     y: np.ndarray,
     mask: np.ndarray,
     class_weights: tuple[float, float] = (1.0, 1.0),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the masked weighted BCE w.r.t. all weight matrices."""
-    assert cache.p is not None
-    dt = bce_logit_gradient(cache.p, y, mask, class_weights)
-    if isinstance(cache, SageCache):
-        return sage_backward(cache, params, dt)
-    return gcn_backward(cache, params, dt)
+    """Exact gradients of the masked weighted BCE w.r.t. (w1, w2, w3)."""
+    assert cache.p is not None and cache.c3 is not None and params.w3 is not None
+    dt = bce_logit_gradient(cache.p, y, mask, class_weights)[:, None]
+    dz3 = dt * (cache.z3 > 0) if params.head_relu else dt
+    gw3 = cache.c3.T @ dz3
+    d_h2 = cache.head.backward(dz3 @ params.w3.T)
+    gw1, gw2 = encoder_backward(cache, params, d_h2 * (cache.z2 > 0))
+    return gw1, gw2, gw3
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +466,21 @@ class TrainConfig:
     head_relu: bool = False
     head_mean: bool = False
 
-    def __post_init__(self) -> None:
-        if not 0 < self.learning_rate < math.inf:  # False for NaN
+    def __post_init__(self) -> None:  # comparisons are written so that NaN fails them
+        if not 0 < self.learning_rate < math.inf:
             raise DataError("learning rate must be positive and finite")
         if self.class_weights is not None and any(w <= 0 for w in self.class_weights):
             raise DataError("class weights must be positive")
+        if not self.d_hidden >= 1:
+            raise DataError("hidden width must be >= 1")
+        if not self.max_epochs >= 1:
+            raise DataError("maximum epochs must be >= 1")
+        if not self.patience >= 0:
+            raise DataError("patience must be >= 0")
+        if not 0 <= self.threshold <= 1:
+            raise DataError("classification threshold must be in [0, 1]")
+        if self.fanout is not None and not self.fanout >= 1:
+            raise DataError("fanout must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -538,6 +498,35 @@ def inverse_frequency_weights(y: np.ndarray, mask: np.ndarray) -> tuple[float, f
     if n0 == 0 or n1 == 0:
         raise DataError("single-class training mask")
     return yj.size / (2.0 * n0), yj.size / (2.0 * n1)
+
+
+def _fit(
+    params: ModelParameters,
+    config: TrainConfig,
+    epoch: Callable[[], tuple[float, Callable[[], tuple[np.ndarray, ...]]]],
+) -> tuple[ModelParameters, int]:
+    """Adam on `params` with early stopping on validation AUC-ROC. `epoch()`
+    runs the forward pass on the current parameters and returns the
+    validation AUC and a function giving the gradients of `params.weights()`.
+
+    Returns the best-validation parameters and the number of epochs run."""
+    state = AdamState.for_parameters(params.weights())
+    best = params.copy()
+    best_auc = -np.inf
+    best_epoch = -1
+    for n in range(config.max_epochs):
+        valid_auc, gradients = epoch()
+        if valid_auc > best_auc:
+            best_auc = valid_auc
+            best_epoch = n
+            best = params.copy()  # snapshot the parameters the AUC was measured on
+        elif n - best_epoch >= config.patience:
+            return best, n + 1
+        adam_step(
+            params.weights(), list(gradients()), state,
+            config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
+        )
+    return best, config.max_epochs
 
 
 def train_node_classifier(
@@ -562,40 +551,20 @@ def train_node_classifier(
         kind, features.shape[1], config.d_hidden, rng,
         head_relu=config.head_relu, head_mean=config.head_mean,
     )
-    state = AdamState.for_parameters(params.weights())
-    # operators are built once per run; fanout draws a new mean aggregator per epoch
-    prop = None if kind == "graphsage" else gcn_propagation_matrix(g)
-    full_agg = mean_aggregation_matrix(g) if kind == "graphsage" and config.fanout is None else None
-
-    best = params.copy()
-    best_auc = -np.inf
-    best_epoch = -1
+    # the steps are built once per run; fanout draws a new mean aggregator per epoch
+    resample = config.fanout is not None and kind == "graphsage"
+    steps = None if resample else neighbor_steps(kind, g, config.head_mean)
     log: list[EpochRecord] = []
-    for epoch in range(config.max_epochs):
-        if kind == "graphsage":
-            agg = (
-                mean_aggregation_matrix(g, config.fanout, rng)
-                if config.fanout is not None
-                else full_agg
-            )
-            cache: SageCache | GcnCache = sage_forward(features, g, params, agg)
-        else:
-            cache = gcn_forward(features, g, params, prop)
-        assert cache.p is not None
-        loss = weighted_bce_loss(cache.p, y, train_idx, weights)
-        valid_auc = auc_roc(cache.p[valid_idx], y[valid_idx])
-        log.append(EpochRecord(epoch, loss, valid_auc))
-        if valid_auc > best_auc:
-            best_auc = valid_auc
-            best_epoch = epoch
-            best = params.copy()  # snapshot the parameters the AUC was measured on
-        elif epoch - best_epoch >= config.patience:
-            break
-        grads = list(backward(cache, params, y, train_idx, weights))
-        adam_step(
-            params.weights(), grads, state,
-            config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
-        )
+
+    def epoch():
+        epoch_steps = neighbor_steps(kind, g, config.head_mean, config.fanout, rng) if resample else steps
+        p, cache = forward(features, g, params, epoch_steps)
+        loss = weighted_bce_loss(p, y, train_idx, weights)
+        valid_auc = auc_roc(p[valid_idx], y[valid_idx])
+        log.append(EpochRecord(len(log), loss, valid_auc))
+        return valid_auc, lambda: backward(cache, params, y, train_idx, weights)
+
+    best, _ = _fit(params, config, epoch)
     return best, log
 
 
@@ -604,29 +573,7 @@ def train_node_classifier(
 # ---------------------------------------------------------------------------
 
 
-def encode(
-    features: np.ndarray,
-    adjacency: Adjacency,
-    params: ModelParameters,
-    op: BlockOperator | None = None,
-) -> SageCache | GcnCache:
-    """Kind-dispatched two-layer encoder pass (no head); `op` is the
-    precomputed mean aggregator (GraphSAGE) or propagation matrix (GCN)."""
-    if params.kind == "graphsage":
-        return sage_encode(features, adjacency, params, op)
-    return gcn_encode(features, adjacency, params, op)
-
-
-def encoder_backward(
-    cache: SageCache | GcnCache, params: ModelParameters, dz2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kind-dispatched encoder gradients w.r.t. (w1, w2) given dLoss/dz2."""
-    if isinstance(cache, SageCache):
-        return sage_encoder_backward(cache, params, dz2)
-    return gcn_encoder_backward(cache, params, dz2)
-
-
-def link_embeddings(cache: SageCache | GcnCache) -> np.ndarray:
+def link_embeddings(cache: EncoderCache) -> np.ndarray:
     """Node embeddings the inner-product decoder scores: the linear output z2
     of the second encoder layer, as in the graph auto-encoder (Kipf & Welling
     2016). The ReLU output h2 is non-negative, so every inner product would be
@@ -752,50 +699,30 @@ def train_link_predictor(
     """
     rng = np.random.default_rng(config.seed)
     link_split = split_link_edges(graph, target_services, ratios, rng)
-    pos_tr, pos_va, pos_te = link_split.pos_train, link_split.pos_valid, link_split.pos_test
-    neg_tr, neg_va, neg_te = link_split.neg_train, link_split.neg_valid, link_split.neg_test
     message = Graph(graph.nodes, link_split.message_edges)
-
     params = init_parameters(
         kind, features.shape[1], config.d_hidden, rng, with_head=False,
+        head_relu=config.head_relu, head_mean=config.head_mean,
     )
-    state = AdamState.for_parameters(params.weights())
-    op = (
-        mean_aggregation_matrix(message) if kind == "graphsage"
-        else gcn_propagation_matrix(message)
-    )
+    steps = neighbor_steps(kind, message)
 
-    train_pairs = np.vstack([pos_tr, neg_tr])
-    train_y = np.concatenate([np.ones(len(pos_tr)), np.zeros(len(neg_tr))])
-    valid_pairs = np.vstack([pos_va, neg_va])
-    valid_y = np.concatenate([np.ones(len(pos_va)), np.zeros(len(neg_va))])
+    def pairs(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.vstack([pos, neg]), np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
 
-    best = params.copy()
-    best_auc = -np.inf
-    best_epoch = -1
-    epochs_run = 0
-    for epoch in range(config.max_epochs):
-        epochs_run = epoch + 1
-        cache = encode(features, message, params, op)
+    train_pairs, train_y = pairs(link_split.pos_train, link_split.neg_train)
+    valid_pairs, valid_y = pairs(link_split.pos_valid, link_split.neg_valid)
+
+    def epoch():
+        cache = encode(features, message, params, steps)
         h = link_embeddings(cache)
         valid_auc = auc_roc(_pair_scores(h, valid_pairs), valid_y)
-        if valid_auc > best_auc:
-            best_auc = valid_auc
-            best_epoch = epoch
-            best = params.copy()
-        elif epoch - best_epoch >= config.patience:
-            break
-        d_h = link_embedding_gradient(h, train_pairs, train_y)
-        grads = list(encoder_backward(cache, params, d_h))
-        adam_step(
-            params.weights(), grads, state,
-            config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
+        return valid_auc, lambda: encoder_backward(
+            cache, params, link_embedding_gradient(h, train_pairs, train_y)
         )
 
-    params = best
-    h_final = link_embeddings(encode(features, message, params, op))
-    test_pairs = np.vstack([pos_te, neg_te])
-    test_y = np.concatenate([np.ones(len(pos_te)), np.zeros(len(neg_te))])
+    params, epochs_run = _fit(params, config, epoch)
+    h_final = link_embeddings(encode(features, message, params, steps))
+    test_pairs, test_y = pairs(link_split.pos_test, link_split.neg_test)
     test_scores = _pair_scores(h_final, test_pairs)
     return params, LinkEvalResult(
         auc_roc=auc_roc(test_scores, test_y),

@@ -9,6 +9,7 @@ service nodes are never duplicated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,9 +38,9 @@ class SengConfig:
     # Algorithm-1 literal count (1+OS)*|c2| instead of the doubling semantics round(OS*|c2|).
     literal_count_formula: bool = False
 
-    def __post_init__(self) -> None:
-        if self.oversampling_scale < 0:
-            raise DataError("oversampling scale must be >= 0")
+    def __post_init__(self) -> None:  # comparisons are written so that NaN fails them
+        if not 0 <= self.oversampling_scale < math.inf:
+            raise DataError("oversampling scale must be >= 0 and finite")
         if not (0 < self.ratio_threshold <= 1):
             raise DataError("ratio threshold must be in (0, 1]")
         if not self.alpha_choices or not set(self.alpha_choices) <= {2, 3, 4}:

@@ -184,6 +184,61 @@ def test_train_invalid_fa_setting_exit_2(planted_dir, tmp_path, capsys, flag, va
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--hidden", "0"),
+    ("--os", "nan"),
+    ("--os", "inf"),
+    ("--max-epochs", "-1"),
+    ("--max-epochs", "0"),
+    ("--patience", "-3"),
+    ("--threshold", "nan"),
+    ("--threshold", "1.5"),
+    ("--fanout", "0"),
+])
+def test_train_invalid_train_setting_exit_2(planted_dir, tmp_path, capsys, flag, value):
+    assert _train(planted_dir, tmp_path / "run", "--method", "plain", flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [
+    ("--encoder", "gcn", "--head-relu"),
+    ("--encoder", "gcn", "--head-mean"),
+    ("--task", "link", "--head-relu"),
+    ("--task", "link", "--head-mean"),
+])
+def test_train_head_flag_without_graphsage_head_exit_2(planted_dir, tmp_path, capsys, extra):
+    assert _train(planted_dir, tmp_path / "run", "--method", "plain", *extra) == 2
+    assert "GraphSAGE node classification only" in capsys.readouterr().err
+
+
+def test_train_bad_alpha_choices_exit_1(planted_dir, tmp_path, capsys):
+    assert _train(planted_dir, tmp_path / "run", "--alpha-choices", "2,x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--alpha-choices" in err
+
+
+def test_gen_planted_bad_env_seed_exit_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CAPGRAPH_SEED", "abc")
+    assert main(["gen-planted", "--manufacturers", "40", "--out", str(tmp_path / "data")]) == 1
+    assert "CAPGRAPH_SEED must be an integer" in capsys.readouterr().err
+
+
+def test_train_config_round_trip(planted_dir, tmp_path):
+    # a run's config.json fed back as --config, with no pipeline flag, is
+    # written again byte for byte
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert _train(planted_dir, first, "--method", "plain", "--os", "0.5", "--fanout", "3") == 0
+    assert main([
+        "train", "--nodes", str(planted_dir / "nodes.tsv"), "--edges", str(planted_dir / "edges.tsv"),
+        "--target", "target capability", "--method", "plain",
+        "--config", str(first / "config.json"), "--out", str(second),
+    ]) == 0
+    assert (second / "config.json").read_bytes() == (first / "config.json").read_bytes()
+    assert (second / "checkpoint.bin").read_bytes() == (first / "checkpoint.bin").read_bytes()
+
+
 def test_train_run_dir_independent_of_blas_threads(tmp_path):
     # t-SNE makes no BLAS call, whose results change with its thread count;
     # at 150 manufacturers the BLAS-based t-SNE differed under 1 and 2 threads

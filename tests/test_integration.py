@@ -5,7 +5,7 @@ import numpy as np
 from capgraph.features import EmbeddingConfig, TsneConfig
 from capgraph.graph import ServiceCategory, build_from_corpus, mask_target, restore_target
 from capgraph.harness import MethodSpec, PipelineConfig, run_method, run_single
-from capgraph.models import TrainConfig, sage_forward, init_parameters
+from capgraph.models import TrainConfig, forward, init_parameters
 from capgraph.seng import SengConfig
 
 
@@ -71,7 +71,7 @@ def test_sage_forward_exposes_layer_embeddings():
     a = graph.dense_adjacency()
     x = np.zeros((graph.num_nodes, 3))
     params = init_parameters("graphsage", 3, 8, np.random.default_rng(0))
-    cache = sage_forward(x, a, params)
+    _, cache = forward(x, a, params)
     assert cache.h1.shape == (graph.num_nodes, 8)
     assert cache.h2.shape == (graph.num_nodes, 8)
     assert cache.p.shape == (graph.num_nodes,)

@@ -33,7 +33,6 @@ from capgraph.models import (
     encode,
     encoder_backward,
     forward,
-    gcn_forward,
     gcn_propagation_matrix,
     init_parameters,
     inverse_frequency_weights,
@@ -42,7 +41,6 @@ from capgraph.models import (
     load_checkpoint,
     mean_aggregation_matrix,
     predict_labels,
-    sage_forward,
     save_checkpoint,
     split_link_edges,
     train_link_predictor,
@@ -201,7 +199,10 @@ def test_encoders_match_dense_oracle(graph, kind, head, seed):
     rng = np.random.default_rng(seed)
     a = graph.dense_adjacency()
     x = rng.normal(0.0, 0.5, size=(graph.num_nodes, 3))
-    params = init_parameters(kind, 3, 4, rng, head_relu=head == 1, head_mean=head == 2)
+    head_flags = kind == "graphsage"  # GCN and link models reject the head flags
+    params = init_parameters(
+        kind, 3, 4, rng, head_relu=head_flags and head == 1, head_mean=head_flags and head == 2
+    )
     y = rng.integers(0, 2, size=graph.num_nodes)
     mask = np.arange(graph.num_nodes)
     _, cache = forward(x, graph, params)
@@ -303,13 +304,13 @@ def test_sage_zero_weights_give_half():
     a, x, _, _ = _six_node_instance(0)
     for head_relu in (False, True):
         params = _zero_params("graphsage", head_relu=head_relu)
-        cache = sage_forward(x, a, params)
+        _, cache = forward(x, a, params)
         assert np.allclose(cache.p, 0.5)
 
 
 def test_gcn_zero_weights_give_half():
     a, x, _, _ = _six_node_instance(1)
-    cache = gcn_forward(x, a, _zero_params("gcn"))
+    _, cache = forward(x, a, _zero_params("gcn"))
     assert np.allclose(cache.p, 0.5)
 
 
@@ -320,7 +321,7 @@ def test_sage_isolated_node_closed_form():
     x = np.array([[0.3, -0.2, 0.5]])
     rng = np.random.default_rng(3)
     params = init_parameters("graphsage", 3, 4, rng)
-    cache = sage_forward(x, a, params)
+    _, cache = forward(x, a, params)
     c1 = np.concatenate([x[0], np.zeros(3)])
     h1 = np.maximum(c1 @ params.w1, 0.0)
     h2 = np.maximum(np.concatenate([h1, np.zeros(4)]) @ params.w2, 0.0)
@@ -517,14 +518,16 @@ def _tiny_task(seed=0):
     return planted_task(spec)
 
 
-def test_train_zero_epochs_returns_init():
+def test_train_one_epoch_returns_init():
+    # the epoch-0 snapshot holds the parameters its AUC was measured on:
+    # the seeded initialization, before the first Adam step
     task = _tiny_task()
     split = stratified_split(task.labels, (0.8, 0.1, 0.1), 0)
     aug = without_oversampling(task, split)
     feats = np.zeros((aug.graph.num_nodes, 3))
-    cfg = TrainConfig(max_epochs=0, seed=3)
+    cfg = TrainConfig(max_epochs=1, seed=3)
     params, log = train_node_classifier(aug, feats, aug.split, cfg)
-    assert log == []
+    assert len(log) == 1
     reference = init_parameters("graphsage", 3, cfg.d_hidden, np.random.default_rng(3),
                                 head_relu=cfg.head_relu, head_mean=cfg.head_mean)
     for w, r in zip(params.weights(), reference.weights()):
@@ -723,12 +726,13 @@ def test_trained_link_scores_do_not_tie():
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     for kind in ("graphsage", "gcn"):
-        params = init_parameters(kind, 3, 6, np.random.default_rng(8), head_relu=True)
+        head_relu = kind == "graphsage"  # only a GraphSAGE head takes the flag
+        params = init_parameters(kind, 3, 6, np.random.default_rng(8), head_relu=head_relu)
         path = tmp_path / f"{kind}.bin"
         save_checkpoint(params, path)
         back = load_checkpoint(path)
         assert back.kind == kind
-        assert back.head_relu and not back.head_mean
+        assert back.head_relu == head_relu and not back.head_mean
         for a, b in zip(params.weights(), back.weights()):
             assert a.tobytes() == b.tobytes()
 
@@ -740,6 +744,24 @@ def test_checkpoint_link_model_without_head(tmp_path):
     back = load_checkpoint(path)
     assert back.w3 is None
     assert back.w1.tobytes() == params.w1.tobytes()
+
+
+@pytest.mark.parametrize("kind, with_head, flag", [
+    ("gcn", True, "head_relu"), ("gcn", True, "head_mean"),
+    ("graphsage", False, "head_relu"), ("graphsage", False, "head_mean"),
+])
+def test_head_flags_need_a_graphsage_head(tmp_path, kind, with_head, flag):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DataError, match="GraphSAGE node classification only"):
+        init_parameters(kind, 3, 4, rng, with_head=with_head, **{flag: True})
+    # a checkpoint whose flag byte names a head the model lacks
+    path = tmp_path / "flagged.bin"
+    save_checkpoint(init_parameters(kind, 3, 4, rng, with_head=with_head), path)
+    data = bytearray(path.read_bytes())
+    data[5] = 1 if flag == "head_relu" else 2
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match="GraphSAGE node classification only"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):
