@@ -53,6 +53,7 @@ from .harness import (
 )
 from .metrics import auc_pr, auc_roc
 from .models import (
+    ModelParameters,
     forward,
     load_checkpoint,
     predict_labels,
@@ -91,7 +92,6 @@ _PIPELINE_FLAGS: dict[str, dict[str, tuple[str, ...]]] = {
         "oversampling_scale": ("--os", "SENG oversampling scale"),
         "ratio_threshold": ("--ratio-threshold", "skip SENG when the training imbalance ratio exceeds this"),
         "alpha_choices": ("--alpha-choices", "comma list of SENG bag sizes from {2,3,4}"),
-        "literal_count_formula": ("--literal-count", "use the literal (1+OS)*|c2| synthetic-node count"),
     },
     "embedding": {
         "dim": ("--embed-dim", "paragraph-vector width"),
@@ -110,9 +110,7 @@ _PIPELINE_FLAGS: dict[str, dict[str, tuple[str, ...]]] = {
         "patience": ("--patience", "early-stop patience on validation AUC-ROC"),
         "d_hidden": ("--hidden", "hidden width"),
         "threshold": ("--threshold", "classification threshold"),
-        "fanout": ("--fanout", "neighbor sample cap", "full neighborhood"),
-        "head_relu": ("--head-relu", "gate the classification head with a ReLU before the sigmoid"),
-        "head_mean": ("--head-mean", "mean-normalize the head's neighbor aggregation instead of summing"),
+        "fanout": ("--fanout", "neighbor sample cap (GraphSAGE node classification)", "full neighborhood"),
     },
 }
 
@@ -130,8 +128,8 @@ DEFAULTS: dict[str, typing.Any] = {
 
 
 def _cast(hint, value):
-    """A config value as the field type `hint`: int, float, bool, a tuple of
-    ints, or one of these or None."""
+    """A config value as the field type `hint`: int, float, a tuple of ints,
+    or one of these or None."""
     args = typing.get_args(hint)
     if type(None) in args:
         return None if value is None else _cast(args[0], value)
@@ -153,9 +151,7 @@ def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
     for section, flags in _PIPELINE_FLAGS.items():
         for name, (flag, text, *shown) in flags.items():
             hint, default = _TYPES[section][name], DEFAULTS[section][name]
-            if hint is bool:
-                kwargs, default = {"action": "store_const", "const": True}, "off"
-            elif typing.get_origin(hint) is tuple:
+            if typing.get_origin(hint) is tuple:
                 kwargs, default = {"type": _int_list}, ",".join(map(str, default))
             else:  # int or float, or either or None
                 kwargs = {"type": (typing.get_args(hint) or (hint,))[0]}
@@ -183,6 +179,12 @@ def effective_config(args: argparse.Namespace) -> dict:
         if not isinstance(file_cfg, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
         config = _merge(config, file_cfg)
+        for section, flags in _PIPELINE_FLAGS.items():  # other top-level keys are run metadata
+            if not isinstance(config[section], dict):
+                raise UsageError(f"bad configuration: section {section!r} in {path} is not a JSON object")
+            unknown = ", ".join(f"{section}.{key}" for key in sorted(set(config[section]) - set(flags)))
+            if unknown:
+                raise UsageError(f"bad configuration: unknown key {unknown} in {path}")
     env_seed = os.environ.get("CAPGRAPH_SEED")
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
@@ -344,7 +346,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_run_dir(run_dir: Path) -> tuple[Graph, np.ndarray, object, dict, np.ndarray, SplitAssignment]:
+def _load_run_dir(
+    run_dir: Path,
+) -> tuple[Graph, np.ndarray, ModelParameters, dict, np.ndarray, SplitAssignment]:
     for name in ("nodes.tsv", "edges.tsv", "features.bin", "checkpoint.bin", "assignment.tsv", "config.json"):
         if not (run_dir / name).exists():
             raise DataError(f"run directory {run_dir} is missing {name}")
@@ -360,9 +364,9 @@ def _load_run_dir(run_dir: Path) -> tuple[Graph, np.ndarray, object, dict, np.nd
         raise DataError(
             f"features/graph mismatch: {features.shape[0]} rows vs {graph.num_nodes} nodes"
         )
-    if params.input_dim != features.shape[1]:  # type: ignore[union-attr]
+    if params.input_dim != features.shape[1]:
         raise DataError(
-            f"checkpoint/feature mismatch: model expects {params.input_dim} dims,"  # type: ignore[union-attr]
+            f"checkpoint/feature mismatch: model expects {params.input_dim} dims,"
             f" features carry {features.shape[1]}"
         )
     labels = np.zeros(graph.num_nodes, dtype=np.int64)
@@ -391,7 +395,7 @@ def _load_run_dir(run_dir: Path) -> tuple[Graph, np.ndarray, object, dict, np.nd
 def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     graph, features, params, config, labels, split = _load_run_dir(run_dir)
-    probs, _ = forward(features, graph, params)  # type: ignore[arg-type]
+    probs, _ = forward(features, graph, params)
     test_ids = np.array(split.test_ids, dtype=np.int64)
     roc = auc_roc(probs[test_ids], labels[test_ids])
     pr = auc_pr(probs[test_ids], labels[test_ids])
@@ -449,7 +453,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     node_id = graph.find_manufacturer(args.name)
     if node_id is None:
         raise DataError(f"unknown manufacturer {args.name!r}")
-    probs, _ = forward(features, graph, params)  # type: ignore[arg-type]
+    probs, _ = forward(features, graph, params)
     label = int(predict_labels(probs, threshold)[node_id])
     print(f"{args.name}\t{probs[node_id]:.6f}\t{label}")
     return 0

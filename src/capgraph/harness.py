@@ -41,7 +41,14 @@ from .graph import (
     stratified_split,
 )
 from .metrics import auc_pr, auc_roc
-from .models import TrainConfig, forward, train_link_predictor, train_node_classifier
+from .models import (
+    EpochRecord,
+    ModelParameters,
+    TrainConfig,
+    forward,
+    train_link_predictor,
+    train_node_classifier,
+)
 from .seng import AugmentedGraph, SengConfig, oversample, without_oversampling
 
 RESULTS_HEADER = [
@@ -130,8 +137,8 @@ class RunArtifacts:
 
     aug: AugmentedGraph
     features: FeatureBundle
-    params: object
-    log: list
+    params: ModelParameters
+    log: list[EpochRecord]
     probabilities: np.ndarray
     result: RepeatResult
 

@@ -6,11 +6,10 @@ in the neighbour step before each weight product (`NeighborStep`): GraphSAGE
 takes [h, M h] with M the mean aggregator, GCN takes S h with S the
 symmetric-normalized propagation. The GraphSAGE head concatenates a node's
 layer-2 embedding with the unnormalized sum of its neighbors' layer-2
-embeddings (the adjacency-column product), passes it through an optional
-ReLU, and squashes with a sigmoid; the GCN head is linear + sigmoid. Node
-classification (class-weighted binary cross-entropy) and link prediction
-(inner-product decoder) share one bias-corrected Adam loop with early
-stopping on validation AUC-ROC.
+embeddings (the adjacency-column product); both heads are linear + sigmoid.
+Node classification (class-weighted binary cross-entropy) and link
+prediction (inner-product decoder) share one bias-corrected Adam loop with
+early stopping on validation AUC-ROC.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ PROB_CLAMP = 1e-7
 _CHECKPOINT_MAGIC = b"CGCK"
 _KIND_BYTES = {"graphsage": 0, "gcn": 1}
 _KIND_NAMES = {v: k for k, v in _KIND_BYTES.items()}
+_FANOUT_SCOPE = "fanout (--fanout) applies to GraphSAGE node classification only"
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -55,14 +55,6 @@ class ModelParameters:
     w1: np.ndarray
     w2: np.ndarray
     w3: np.ndarray | None
-    head_relu: bool = False
-    head_mean: bool = False
-
-    def __post_init__(self) -> None:
-        if (self.head_relu or self.head_mean) and (self.kind != "graphsage" or self.w3 is None):
-            raise DataError(
-                "head_relu / head_mean (--head-relu / --head-mean) apply to GraphSAGE node classification only"
-            )
 
     @property
     def d_hidden(self) -> int:
@@ -96,8 +88,6 @@ def init_parameters(
     d_hidden: int,
     rng: np.random.Generator,
     with_head: bool = True,
-    head_relu: bool = False,
-    head_mean: bool = False,
 ) -> ModelParameters:
     if kind not in _KIND_BYTES:
         raise DataError(f"unknown model kind {kind!r}")
@@ -105,7 +95,7 @@ def init_parameters(
     w1 = _glorot(rng, k * input_dim, d_hidden)
     w2 = _glorot(rng, k * d_hidden, d_hidden)
     w3 = _glorot(rng, k * d_hidden, 1) if with_head else None
-    return ModelParameters(kind, w1, w2, w3, head_relu=head_relu, head_mean=head_mean)
+    return ModelParameters(kind, w1, w2, w3)
 
 
 # ---------------------------------------------------------------------------
@@ -179,25 +169,16 @@ def adjacency_operator(adjacency: Adjacency) -> BlockOperator:
     )
 
 
-def _fanout_sample(adjacency: Adjacency, fanout: int, rng: np.random.Generator) -> BlockOperator:
+def _fanout_sample(graph: Graph, fanout: int, rng: np.random.Generator) -> BlockOperator:
     """A with each row cut to min(degree, fanout) of its entries, drawn
     uniformly without replacement: every entry gets one random key and each
     row keeps its `fanout` smallest keys."""
-    if isinstance(adjacency, Graph):
-        rows, cols, p = adjacency.entry_rows(), adjacency.indices, adjacency.num_nodes
-    else:
-        a = np.asarray(adjacency)
-        rows, cols = np.nonzero(a)
-        p = a.shape[0]
-    starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=p))])
+    rows = graph.entry_rows()
+    starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=graph.num_nodes))])
     order = np.lexsort((rng.random(rows.size), rows))  # rows ascend: each row's entries by key
     keep = np.zeros(rows.size, dtype=bool)
     keep[order[np.arange(rows.size) - starts[rows] < fanout]] = True
-    if isinstance(adjacency, Graph):
-        return BlockOperator(*adjacency.adjacency_blocks(keep))
-    sampled = np.zeros((p, p))
-    sampled[rows[keep], cols[keep]] = 1.0
-    return adjacency_operator(sampled)
+    return BlockOperator(*graph.adjacency_blocks(keep))
 
 
 def mean_aggregation_matrix(
@@ -206,10 +187,11 @@ def mean_aggregation_matrix(
     rng: np.random.Generator | None = None,
 ) -> BlockOperator:
     """Row-normalized (optionally fanout-sampled) adjacency D^-1 A; zero rows
-    for isolated nodes. `adjacency` is a graph or a dense 0/1 matrix."""
+    for isolated nodes. `adjacency` is a graph or, without fanout, a dense 0/1
+    matrix."""
     if fanout is not None:
-        if rng is None:
-            raise DataError("fanout sampling requires a random generator")
+        if rng is None or not isinstance(adjacency, Graph):
+            raise DataError("fanout sampling requires a graph and a random generator")
         a = _fanout_sample(adjacency, fanout, rng)
     else:
         a = adjacency_operator(adjacency)
@@ -257,19 +239,17 @@ class NeighborStep:
 def neighbor_steps(
     kind: str,
     adjacency: Adjacency,
-    head_mean: bool = False,
     fanout: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[NeighborStep, NeighborStep]:
     """The (layer, head) steps of an encoder on `adjacency`. GraphSAGE layers
     take [h, M h] with M the (fanout-sampled) mean aggregator, and its head
-    [h2, A h2], or [h2, M h2] with `head_mean`. GCN layers take S h, its head
-    h2 itself; GCN ignores `fanout`."""
+    [h2, A h2]. GCN layers take S h, its head h2 itself; GCN ignores
+    `fanout`, which the trainers reject for it."""
     if kind == "gcn":
         return NeighborStep(gcn_propagation_matrix(adjacency)), NeighborStep(None)
     m = mean_aggregation_matrix(adjacency, fanout, rng)
-    head = m if head_mean else adjacency_operator(adjacency)
-    return NeighborStep(m, concat=True), NeighborStep(head, concat=True)
+    return NeighborStep(m, concat=True), NeighborStep(adjacency_operator(adjacency), concat=True)
 
 
 @dataclass
@@ -299,7 +279,7 @@ def encode(
     """Two-layer encoder pass (no head). `adjacency` is a graph (its cached
     blocks) or a dense p x p array; `steps`, when given, are its prebuilt
     `neighbor_steps`."""
-    layer, head = neighbor_steps(params.kind, adjacency, params.head_mean) if steps is None else steps
+    layer, head = neighbor_steps(params.kind, adjacency) if steps is None else steps
     c1 = layer(np.asarray(features, dtype=np.float64))
     z1 = c1 @ params.w1
     h1 = np.maximum(z1, 0.0)
@@ -322,8 +302,7 @@ def forward(
     cache = encode(features, adjacency, params, steps)
     cache.c3 = cache.head(cache.h2)
     cache.z3 = cache.c3 @ params.w3
-    t = np.maximum(cache.z3, 0.0) if params.head_relu else cache.z3
-    cache.p = _sigmoid(t)[:, 0]
+    cache.p = _sigmoid(cache.z3)[:, 0]
     return cache.p, cache
 
 
@@ -394,8 +373,7 @@ def backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients of the masked weighted BCE w.r.t. (w1, w2, w3)."""
     assert cache.p is not None and cache.c3 is not None and params.w3 is not None
-    dt = bce_logit_gradient(cache.p, y, mask, class_weights)[:, None]
-    dz3 = dt * (cache.z3 > 0) if params.head_relu else dt
+    dz3 = bce_logit_gradient(cache.p, y, mask, class_weights)[:, None]
     gw3 = cache.c3.T @ dz3
     d_h2 = cache.head.backward(dz3 @ params.w3.T)
     gw1, gw2 = encoder_backward(cache, params, d_h2 * (cache.z2 > 0))
@@ -449,28 +427,15 @@ def adam_step(
 class TrainConfig:
     learning_rate: float = 0.01
     max_epochs: int = 415
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    class_weights: tuple[float, float] | None = None  # None: inverse train frequency
     fanout: int | None = None
     threshold: float = 0.5
     seed: int = 0
     patience: int = 50
     d_hidden: int = 16
-    # The ReLU-inside-sigmoid head collapses to the constant classifier under
-    # Adam at realistic feature/degree scales (every head input is
-    # non-negative, so majority-class pressure drives all pre-activations
-    # below zero, where the ReLU gate blocks recovery); default is the plain
-    # sigmoid head, the gated variant stays available for ablation.
-    head_relu: bool = False
-    head_mean: bool = False
 
     def __post_init__(self) -> None:  # comparisons are written so that NaN fails them
         if not 0 < self.learning_rate < math.inf:
             raise DataError("learning rate must be positive and finite")
-        if self.class_weights is not None and any(w <= 0 for w in self.class_weights):
-            raise DataError("class weights must be positive")
         if not self.d_hidden >= 1:
             raise DataError("hidden width must be >= 1")
         if not self.max_epochs >= 1:
@@ -522,10 +487,7 @@ def _fit(
             best = params.copy()  # snapshot the parameters the AUC was measured on
         elif n - best_epoch >= config.patience:
             return best, n + 1
-        adam_step(
-            params.weights(), list(gradients()), state,
-            config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
-        )
+        adam_step(params.weights(), list(gradients()), state, config.learning_rate)
     return best, config.max_epochs
 
 
@@ -544,20 +506,19 @@ def train_node_classifier(
     y = graph.labels
     train_idx = np.array(split.train_ids, dtype=np.int64)
     valid_idx = np.array(split.valid_ids, dtype=np.int64)
-    weights = config.class_weights or inverse_frequency_weights(y, train_idx)
+    if config.fanout is not None and kind != "graphsage":
+        raise DataError(_FANOUT_SCOPE)
+    weights = inverse_frequency_weights(y, train_idx)
 
     rng = np.random.default_rng(config.seed)
-    params = init_parameters(
-        kind, features.shape[1], config.d_hidden, rng,
-        head_relu=config.head_relu, head_mean=config.head_mean,
-    )
+    params = init_parameters(kind, features.shape[1], config.d_hidden, rng)
     # the steps are built once per run; fanout draws a new mean aggregator per epoch
-    resample = config.fanout is not None and kind == "graphsage"
-    steps = None if resample else neighbor_steps(kind, g, config.head_mean)
+    resample = config.fanout is not None
+    steps = None if resample else neighbor_steps(kind, g)
     log: list[EpochRecord] = []
 
     def epoch():
-        epoch_steps = neighbor_steps(kind, g, config.head_mean, config.fanout, rng) if resample else steps
+        epoch_steps = neighbor_steps(kind, g, config.fanout, rng) if resample else steps
         p, cache = forward(features, g, params, epoch_steps)
         loss = weighted_bce_loss(p, y, train_idx, weights)
         valid_auc = auc_roc(p[valid_idx], y[valid_idx])
@@ -697,13 +658,12 @@ def train_link_predictor(
     product of the linear (pre-ReLU) second-layer encoder outputs z2; see
     `link_embeddings`.
     """
+    if config.fanout is not None:
+        raise DataError(_FANOUT_SCOPE)
     rng = np.random.default_rng(config.seed)
     link_split = split_link_edges(graph, target_services, ratios, rng)
     message = Graph(graph.nodes, link_split.message_edges)
-    params = init_parameters(
-        kind, features.shape[1], config.d_hidden, rng, with_head=False,
-        head_relu=config.head_relu, head_mean=config.head_mean,
-    )
+    params = init_parameters(kind, features.shape[1], config.d_hidden, rng, with_head=False)
     steps = neighbor_steps(kind, message)
 
     def pairs(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -738,10 +698,9 @@ def train_link_predictor(
 
 
 def save_checkpoint(params: ModelParameters, path: Path | str) -> None:
-    flags = (1 if params.head_relu else 0) | (2 if params.head_mean else 0)
     with Path(path).open("wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<BBBB", _KIND_BYTES[params.kind], flags, 0, 0))
+        fh.write(struct.pack("<BBBB", _KIND_BYTES[params.kind], 0, 0, 0))  # flags byte and two more: reserved
         fh.write(struct.pack("<I", params.d_hidden))
         for w in (params.w1, params.w2, params.w3):
             if w is None:
@@ -765,6 +724,8 @@ def load_checkpoint(path: Path | str) -> ModelParameters:
         kind_byte, flags, _, _ = struct.unpack("<BBBB", _read_exact(fh, 4, path))
         if kind_byte not in _KIND_NAMES:
             raise DataError(f"{path}: unknown model kind byte {kind_byte}")
+        if flags != 0:
+            raise DataError(f"{path}: reserved flags byte is {flags}, not 0")
         (d_hidden,) = struct.unpack("<I", _read_exact(fh, 4, path))
         mats: list[np.ndarray | None] = []
         for _ in range(3):
@@ -778,10 +739,7 @@ def load_checkpoint(path: Path | str) -> ModelParameters:
             mats.append(np.frombuffer(payload, dtype=np.float64).reshape(rows, cols).copy())
         if mats[0] is None or mats[1] is None:
             raise DataError(f"{path}: checkpoint missing encoder weights")
-        params = ModelParameters(
-            _KIND_NAMES[kind_byte], mats[0], mats[1], mats[2],
-            head_relu=bool(flags & 1), head_mean=bool(flags & 2),
-        )
+        params = ModelParameters(_KIND_NAMES[kind_byte], mats[0], mats[1], mats[2])
         if params.d_hidden != d_hidden:
             raise DataError(f"{path}: header width {d_hidden} != payload width {params.d_hidden}")
         return params

@@ -35,8 +35,6 @@ class SengConfig:
     ratio_threshold: float = 0.7
     alpha_choices: tuple[int, ...] = (2, 3, 4)
     seed: int = 0
-    # Algorithm-1 literal count (1+OS)*|c2| instead of the doubling semantics round(OS*|c2|).
-    literal_count_formula: bool = False
 
     def __post_init__(self) -> None:  # comparisons are written so that NaN fails them
         if not 0 <= self.oversampling_scale < math.inf:
@@ -75,12 +73,11 @@ def without_oversampling(task: LabeledTask, split: SplitAssignment) -> Augmented
     return AugmentedGraph(task.graph, task.graph, (), task.labels.copy(), split)
 
 
-def num_synthetic_nodes(stats: ClassStats, oversampling_scale: float, literal: bool = False) -> int:
+def num_synthetic_nodes(stats: ClassStats, oversampling_scale: float) -> int:
     """round(OS * |c2|) synthetic nodes, so the minority grows to (1+OS)*|c2|."""
     if oversampling_scale < 0:
         raise DataError("oversampling scale must be >= 0")
-    scale = (1.0 + oversampling_scale) if literal else oversampling_scale
-    return int(round(scale * stats.minority_size))
+    return int(round(oversampling_scale * stats.minority_size))
 
 
 def generate_synthetic_node(
@@ -133,7 +130,7 @@ def oversample(task: LabeledTask, split: SplitAssignment, config: SengConfig) ->
     stats = compute_imbalance(task.labels, train_ids)
     if stats.imbalance_ratio > config.ratio_threshold:
         return without_oversampling(task, split)
-    count = num_synthetic_nodes(stats, config.oversampling_scale, config.literal_count_formula)
+    count = num_synthetic_nodes(stats, config.oversampling_scale)
     if count == 0:
         return without_oversampling(task, split)
 

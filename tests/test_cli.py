@@ -202,11 +202,9 @@ def test_train_invalid_train_setting_exit_2(planted_dir, tmp_path, capsys, flag,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("extra", [
-    ("--encoder", "gcn", "--head-relu"),
-    ("--encoder", "gcn", "--head-mean"),
-    ("--task", "link", "--head-relu"),
-    ("--task", "link", "--head-mean"),
+@pytest.mark.parametrize("extra", [  # fanout samples GraphSAGE node-classification neighborhoods only
+    ("--encoder", "gcn", "--fanout", "2"),
+    ("--task", "link", "--fanout", "2"),
 ])
 def test_train_head_flag_without_graphsage_head_exit_2(planted_dir, tmp_path, capsys, extra):
     assert _train(planted_dir, tmp_path / "run", "--method", "plain", *extra) == 2
@@ -330,6 +328,12 @@ def test_eval_malformed_config_exit_2(trained_run, tmp_path, capsys):
     assert "malformed run config" in capsys.readouterr().err
 
 
+def test_eval_and_predict_nonzero_flags_byte_exit_2(trained_run, tmp_path, capsys):
+    assert _eval_damaged(trained_run, tmp_path, "checkpoint.bin", lambda b: b[:5] + b"\x01" + b[6:]) == 2
+    assert main(["predict", "--run-dir", str(tmp_path / "run"), "--name", "maker-00000"]) == 2
+    assert capsys.readouterr().err.count("reserved flags byte is 1") == 2
+
+
 def test_predict_known_and_unknown(planted_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert _train(planted_dir, out) == 0
@@ -403,6 +407,19 @@ def test_config_file_and_flag_override(planted_dir, tmp_path):
     with (out / "training_log.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) <= 7
+
+
+@pytest.mark.parametrize("section, message", [
+    (5, "section 'train'"),
+    ({"bogus": 1, "head_relu": True}, "unknown key train.bogus, train.head_relu"),
+])
+def test_config_bad_pipeline_section_exit_1(planted_dir, tmp_path, capsys, section, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": section}), encoding="utf-8")
+    assert _train(planted_dir, tmp_path / "run", "--config", str(cfg), "--lr", "0.1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad configuration") and message in err
+    assert "Traceback" not in err
 
 
 def test_env_seed_fallback(planted_dir, tmp_path, monkeypatch):

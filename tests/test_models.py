@@ -101,22 +101,19 @@ def _dense_forward_backward(x, a, params, dt):
     dt = dt[:, None]
     if params.kind == "graphsage":
         m = _dense_mean(a)
-        head = m if params.head_mean else a
         c1 = np.hstack([x, m @ x])
         z1 = c1 @ params.w1
         c2 = np.hstack([relu(z1), m @ relu(z1)])
         z2 = c2 @ params.w2
         h2 = relu(z2)
-        c3 = np.hstack([h2, head @ h2])
-        z3 = c3 @ params.w3
-        p = 1.0 / (1.0 + np.exp(-(relu(z3) if params.head_relu else z3)))
-        dz3 = dt * (z3 > 0) if params.head_relu else dt
-        dc3 = dz3 @ params.w3.T
+        c3 = np.hstack([h2, a @ h2])
+        p = 1.0 / (1.0 + np.exp(-(c3 @ params.w3)))
+        dc3 = dt @ params.w3.T
         dh = params.d_hidden
-        dz2 = (dc3[:, :dh] + head.T @ dc3[:, dh:]) * (z2 > 0)
+        dz2 = (dc3[:, :dh] + a.T @ dc3[:, dh:]) * (z2 > 0)
         dc2 = dz2 @ params.w2.T
         dz1 = (dc2[:, :dh] + m.T @ dc2[:, dh:]) * (z1 > 0)
-        return p[:, 0], (c1.T @ dz1, c2.T @ dz2, c3.T @ dz3)
+        return p[:, 0], (c1.T @ dz1, c2.T @ dz2, c3.T @ dt)
     s = _dense_gcn(a)
     sx = s @ x
     z1 = sx @ params.w1
@@ -174,16 +171,21 @@ def test_block_operator_matches_dense_oracle(graph, width, seed):
 def test_fanout_sampling_keeps_true_neighbors(graph, fanout, seed):
     a = graph.dense_adjacency()
     p = graph.num_nodes
-    for source in (graph, a):
-        ops = [mean_aggregation_matrix(source, fanout, np.random.default_rng(seed)) for _ in range(2)]
-        sampled = _densify(replace(ops[0], left=None), p)
-        assert np.array_equal(sampled, _densify(replace(ops[1], left=None), p))  # same seed, same draw
-        assert np.all(sampled <= a)  # only true neighbors
-        assert np.array_equal(sampled.sum(axis=1), np.minimum(a.sum(axis=1), fanout))
-        x = np.random.default_rng(seed).normal(size=(p, 3))
-        dense = _dense_mean(sampled)
-        assert np.abs(ops[0] @ x - dense @ x).max(initial=0.0) <= 1e-12
-        assert np.abs(ops[0].T @ x - dense.T @ x).max(initial=0.0) <= 1e-12
+    ops = [mean_aggregation_matrix(graph, fanout, np.random.default_rng(seed)) for _ in range(2)]
+    sampled = _densify(replace(ops[0], left=None), p)
+    assert np.array_equal(sampled, _densify(replace(ops[1], left=None), p))  # same seed, same draw
+    assert np.all(sampled <= a)  # only true neighbors
+    assert np.array_equal(sampled.sum(axis=1), np.minimum(a.sum(axis=1), fanout))
+    x = np.random.default_rng(seed).normal(size=(p, 3))
+    dense = _dense_mean(sampled)
+    assert np.abs(ops[0] @ x - dense @ x).max(initial=0.0) <= 1e-12
+    assert np.abs(ops[0].T @ x - dense.T @ x).max(initial=0.0) <= 1e-12
+
+
+def test_fanout_sampling_needs_a_graph():
+    a = np.ones((3, 3)) - np.eye(3)
+    with pytest.raises(DataError, match="requires a graph"):
+        mean_aggregation_matrix(a, 1, np.random.default_rng(0))
 
 
 def test_fanout_sampling_draws_differ_across_epochs():
@@ -194,15 +196,12 @@ def test_fanout_sampling_draws_differ_across_epochs():
 
 
 @settings(max_examples=60, deadline=None)
-@given(_graphs(), st.sampled_from(["graphsage", "gcn"]), st.integers(0, 3), st.integers(0, 2**32 - 1))
-def test_encoders_match_dense_oracle(graph, kind, head, seed):
+@given(_graphs(), st.sampled_from(["graphsage", "gcn"]), st.integers(0, 2**32 - 1))
+def test_encoders_match_dense_oracle(graph, kind, seed):
     rng = np.random.default_rng(seed)
     a = graph.dense_adjacency()
     x = rng.normal(0.0, 0.5, size=(graph.num_nodes, 3))
-    head_flags = kind == "graphsage"  # GCN and link models reject the head flags
-    params = init_parameters(
-        kind, 3, 4, rng, head_relu=head_flags and head == 1, head_mean=head_flags and head == 2
-    )
+    params = init_parameters(kind, 3, 4, rng)
     y = rng.integers(0, 2, size=graph.num_nodes)
     mask = np.arange(graph.num_nodes)
     _, cache = forward(x, graph, params)
@@ -232,10 +231,12 @@ def test_neighborhood_mean_isolated_zero():
 
 
 def test_neighborhood_mean_fanout_deterministic():
-    a = np.ones((4, 4)) - np.eye(4)
+    # four services, every pair linked: each node has the other three as neighbors
+    nodes = [service(f"s{j}", ServiceCategory.PROCESS) for j in range(4)]
+    g = Graph(nodes, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     feats = np.diag([1.0, 2.0, 3.0, 4.0])
     picks = {
-        tuple((mean_aggregation_matrix(a, fanout=1, rng=np.random.default_rng(5)) @ feats)[0])
+        tuple((mean_aggregation_matrix(g, fanout=1, rng=np.random.default_rng(5)) @ feats)[0])
         for _ in range(3)
     }
     assert len(picks) == 1  # same seed, same single-neighbor pick
@@ -292,9 +293,9 @@ def test_training_memory_is_not_quadratic():
 # ---------------------------------------------------------------------------
 
 
-def _zero_params(kind: str, d_in=3, d_h=4, head_relu=False) -> ModelParameters:
+def _zero_params(kind: str, d_in=3, d_h=4) -> ModelParameters:
     rng = np.random.default_rng(0)
-    params = init_parameters(kind, d_in, d_h, rng, head_relu=head_relu)
+    params = init_parameters(kind, d_in, d_h, rng)
     for w in params.weights():
         w[:] = 0.0
     return params
@@ -302,10 +303,8 @@ def _zero_params(kind: str, d_in=3, d_h=4, head_relu=False) -> ModelParameters:
 
 def test_sage_zero_weights_give_half():
     a, x, _, _ = _six_node_instance(0)
-    for head_relu in (False, True):
-        params = _zero_params("graphsage", head_relu=head_relu)
-        _, cache = forward(x, a, params)
-        assert np.allclose(cache.p, 0.5)
+    _, cache = forward(x, a, _zero_params("graphsage"))
+    assert np.allclose(cache.p, 0.5)
 
 
 def test_gcn_zero_weights_give_half():
@@ -389,13 +388,10 @@ def _loss_for_params(kind, a, x, y, mask, weights, params):
     return weighted_bce_loss(p, y, mask, weights)
 
 
-def _fd_check(kind: str, seed: int, head_relu=False, head_mean=False, tol=1e-4):
+def _fd_check(kind: str, seed: int, tol=1e-4):
     a, x, y, mask = _six_node_instance(seed)
     weights = (0.7, 1.9)
-    params = init_parameters(
-        kind, 3, 4, np.random.default_rng(seed + 100),
-        head_relu=head_relu, head_mean=head_mean,
-    )
+    params = init_parameters(kind, 3, 4, np.random.default_rng(seed + 100))
     _, cache = forward(x, a, params)
     assert np.all(cache.p > 1e-6) and np.all(cache.p < 1 - 1e-6)  # smooth point
     grads = backward(cache, params, y, mask, weights)
@@ -419,14 +415,6 @@ def _fd_check(kind: str, seed: int, head_relu=False, head_mean=False, tol=1e-4):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradients_match_finite_differences(kind, seed):
     _fd_check(kind, seed)
-
-
-def test_gradients_match_with_relu_head():
-    _fd_check("graphsage", 5, head_relu=True)
-
-
-def test_gradients_match_with_mean_head():
-    _fd_check("graphsage", 6, head_mean=True)
 
 
 def test_gradient_zero_at_saturated_optimum():
@@ -528,8 +516,7 @@ def test_train_one_epoch_returns_init():
     cfg = TrainConfig(max_epochs=1, seed=3)
     params, log = train_node_classifier(aug, feats, aug.split, cfg)
     assert len(log) == 1
-    reference = init_parameters("graphsage", 3, cfg.d_hidden, np.random.default_rng(3),
-                                head_relu=cfg.head_relu, head_mean=cfg.head_mean)
+    reference = init_parameters("graphsage", 3, cfg.d_hidden, np.random.default_rng(3))
     for w, r in zip(params.weights(), reference.weights()):
         assert np.array_equal(w, r)
 
@@ -726,13 +713,12 @@ def test_trained_link_scores_do_not_tie():
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     for kind in ("graphsage", "gcn"):
-        head_relu = kind == "graphsage"  # only a GraphSAGE head takes the flag
-        params = init_parameters(kind, 3, 6, np.random.default_rng(8), head_relu=head_relu)
+        params = init_parameters(kind, 3, 6, np.random.default_rng(8))
         path = tmp_path / f"{kind}.bin"
         save_checkpoint(params, path)
+        assert path.read_bytes()[5] == 0  # the reserved flags byte
         back = load_checkpoint(path)
         assert back.kind == kind
-        assert back.head_relu == head_relu and not back.head_mean
         for a, b in zip(params.weights(), back.weights()):
             assert a.tobytes() == b.tobytes()
 
@@ -746,21 +732,17 @@ def test_checkpoint_link_model_without_head(tmp_path):
     assert back.w1.tobytes() == params.w1.tobytes()
 
 
-@pytest.mark.parametrize("kind, with_head, flag", [
-    ("gcn", True, "head_relu"), ("gcn", True, "head_mean"),
-    ("graphsage", False, "head_relu"), ("graphsage", False, "head_mean"),
+@pytest.mark.parametrize("kind, with_head, flags", [
+    ("gcn", True, 1), ("gcn", True, 2), ("graphsage", False, 1), ("graphsage", False, 2),
+    ("graphsage", True, 1), ("graphsage", True, 255),
 ])
-def test_head_flags_need_a_graphsage_head(tmp_path, kind, with_head, flag):
-    rng = np.random.default_rng(0)
-    with pytest.raises(DataError, match="GraphSAGE node classification only"):
-        init_parameters(kind, 3, 4, rng, with_head=with_head, **{flag: True})
-    # a checkpoint whose flag byte names a head the model lacks
+def test_checkpoint_reserved_flags_byte_must_be_zero(tmp_path, kind, with_head, flags):
     path = tmp_path / "flagged.bin"
-    save_checkpoint(init_parameters(kind, 3, 4, rng, with_head=with_head), path)
+    save_checkpoint(init_parameters(kind, 3, 4, np.random.default_rng(0), with_head=with_head), path)
     data = bytearray(path.read_bytes())
-    data[5] = 1 if flag == "head_relu" else 2
+    data[5] = flags
     path.write_bytes(bytes(data))
-    with pytest.raises(DataError, match="GraphSAGE node classification only"):
+    with pytest.raises(DataError, match="reserved flags byte"):
         load_checkpoint(path)
 
 

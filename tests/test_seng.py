@@ -45,10 +45,6 @@ def test_count_rounds():
     assert num_synthetic_nodes(_stats(50, 400), 0.4) == 20
 
 
-def test_count_literal_formula():
-    assert num_synthetic_nodes(_stats(100, 400), 1.0, literal=True) == 200
-
-
 def _two_manufacturer_graph() -> Graph:
     nodes = [
         manufacturer("m1"),
