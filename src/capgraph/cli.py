@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +24,15 @@ from .errors import DataError, NumericError
 from .features import load_matrix, save_matrix
 from .graph import (
     Graph,
-    ServiceCategory,
-    Split,
     SplitAssignment,
     build_from_corpus,
+    load_assignment,
     load_corpus,
     load_graph,
+    load_service_edges,
+    load_services,
     mask_target,
+    write_assignment,
     write_graph_files,
 )
 from .harness import (
@@ -54,6 +56,7 @@ from .harness import (
 from .metrics import auc_pr, auc_roc
 from .models import (
     ModelParameters,
+    check_fanout_scope,
     forward,
     load_checkpoint,
     predict_labels,
@@ -117,6 +120,7 @@ _PIPELINE_FLAGS: dict[str, dict[str, tuple[str, ...]]] = {
 _DEFAULT = PipelineConfig()
 _SECTIONS = {f.name: type(f.default) for f in fields(PipelineConfig) if f.name in _PIPELINE_FLAGS}
 _TYPES = {section: typing.get_type_hints(cls) for section, cls in _SECTIONS.items()}
+_RATIOS = typing.get_type_hints(PipelineConfig)["ratios"]
 DEFAULTS: dict[str, typing.Any] = {
     "seed": _DEFAULT.train.seed,
     "ratios": _DEFAULT.ratios,
@@ -127,14 +131,20 @@ DEFAULTS: dict[str, typing.Any] = {
 }
 
 
-def _cast(hint, value):
-    """A config value as the field type `hint`: int, float, a tuple of ints,
-    or one of these or None."""
+def _cast(hint, value, key: str):
+    """A JSON config value as the field type `hint`: an int field takes a
+    JSON integer, a float field any number (never a boolean), a tuple field a
+    list of these, and an optional field also null. Anything else is a
+    ValueError naming `key`."""
     args = typing.get_args(hint)
     if type(None) in args:
-        return None if value is None else _cast(args[0], value)
+        return None if value is None else _cast(args[0], value, key)
     if typing.get_origin(hint) is tuple:
-        return tuple(args[0](v) for v in value)
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a list, got {json.dumps(value)}")
+        return tuple(_cast(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    if type(value) is not int and not (hint is float and type(value) is float):
+        raise ValueError(f"{key} must be {'an integer' if hint is int else 'a number'}, got {json.dumps(value)}")
     return hint(value)
 
 
@@ -174,7 +184,7 @@ def effective_config(args: argparse.Namespace) -> dict:
     if path is not None:
         try:
             file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise UsageError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
@@ -203,35 +213,35 @@ def effective_config(args: argparse.Namespace) -> dict:
 
 def pipeline_from_config(config: dict) -> PipelineConfig:
     try:
-        seed = int(config["seed"])
+        seed = _cast(int, config["seed"], "seed")
         sections = {}
         for section, flags in _PIPELINE_FLAGS.items():
-            values = {name: _cast(_TYPES[section][name], config[section][name]) for name in flags}
+            values = {
+                name: _cast(_TYPES[section][name], config[section][name], f"{section}.{name}") for name in flags
+            }
             if "seed" in _TYPES[section]:
                 values["seed"] = seed
             sections[section] = _SECTIONS[section](**values)
-        ratios = tuple(float(r) for r in config["ratios"])
+        ratios = _cast(_RATIOS, config["ratios"], "ratios")
         if len(ratios) != 3:
             raise UsageError("ratios must list three values")
         return PipelineConfig(ratios=ratios, **sections)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge integer
         raise UsageError(f"bad configuration: {exc}") from exc
 
 
-def _method_spec(args: argparse.Namespace) -> MethodSpec:
+def _method_spec(args: argparse.Namespace, pipeline: PipelineConfig) -> MethodSpec:
+    """The method the flags name, checked against the pipeline before any work."""
     use_seng, use_fa = _METHOD_FLAGS[args.method]
     task = getattr(args, "task", "node")
     if task == "link" and use_seng:
         raise UsageError("--method seng/sf applies to node classification; link prediction supports plain/fa")
+    check_fanout_scope(pipeline.train, args.encoder, task)
     return MethodSpec(use_seng=use_seng, use_fa=use_fa, encoder=args.encoder, task=task)
 
 
-def _echo_config(out_dir: Path, config: dict, extra: dict) -> None:
-    payload = dict(config)
-    payload.update(extra)
-    (out_dir / "config.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -240,40 +250,17 @@ def _echo_config(out_dir: Path, config: dict, extra: dict) -> None:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.corpus is not None:
         if args.services is None:
             raise UsageError("--corpus requires --services")
-        docs = load_corpus(args.corpus)
-        services = []
-        categories = {c.value: c for c in ServiceCategory}
-        with Path(args.services).open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"services file line {lineno}: expected 'name<TAB>category'")
-                name, category = parts
-                if category not in categories:
-                    raise DataError(f"services file line {lineno}: unknown category {category!r}")
-                services.append((name, categories[category]))
-        service_edges = []
-        if args.service_edges is not None:
-            with Path(args.service_edges).open(encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    parts = line.rstrip("\n").split("\t")
-                    if len(parts) != 2:
-                        raise DataError(f"service-edges file line {lineno}: expected 'name<TAB>name'")
-                    service_edges.append((parts[0], parts[1]))
-        graph = build_from_corpus(docs, services, service_edges)
+        service_edges = [] if args.service_edges is None else load_service_edges(args.service_edges)
+        graph = build_from_corpus(load_corpus(args.corpus), load_services(args.services), service_edges)
     elif args.nodes is not None and args.edges is not None:
         graph = load_graph(args.nodes, args.edges)
     else:
         raise UsageError("provide --corpus/--services or --nodes/--edges")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_graph_files(graph, out_dir / "nodes.tsv", out_dir / "edges.tsv")
     print(f"nodes\t{graph.num_nodes}")
     print(f"edges\t{graph.num_edges}")
@@ -283,17 +270,16 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = effective_config(args)
     pipeline = pipeline_from_config(config)
-    method = _method_spec(args)
+    method = _method_spec(args, pipeline)
+    graph = load_graph(args.nodes, args.edges)
+    task = mask_target(graph, args.target)
+    seed = config["seed"]
+    repeats = args.repeats
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    graph = load_graph(args.nodes, args.edges)
-    task = mask_target(graph, args.target)
-    seed = int(config["seed"])
-    repeats = args.repeats
-
-    _echo_config(out_dir, config, {
-        "command": "train", "target": args.target, "method": args.method,
+    _write_json(out_dir / "config.json", {
+        **config, "command": "train", "target": args.target, "method": args.method,
         "encoder": args.encoder, "task": getattr(args, "task", "node"), "repeats": repeats,
     })
 
@@ -315,10 +301,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         save_checkpoint(artifacts.params, out_dir / "checkpoint.bin")
         if artifacts.aug.num_synthetic:
             write_audit_file(artifacts.aug, out_dir / "seng_audit.tsv")
-        with (out_dir / "assignment.tsv").open("w", encoding="utf-8") as fh:
-            for j in range(artifacts.aug.graph.num_nodes):
-                split_name = artifacts.aug.split.assignment[j].value
-                fh.write(f"{j}\t{split_name}\t{int(artifacts.aug.labels[j])}\n")
+        write_assignment(out_dir / "assignment.tsv", artifacts.aug.split, artifacts.aug.labels)
         with (out_dir / "training_log.csv").open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_loss", "valid_auc"])
@@ -327,21 +310,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     rows = results_rows(args.target, method, "-", [SweepCell("-", report)])
     write_results_csv(out_dir / "metrics.csv", rows, METRICS_HEADER)
-    (out_dir / "report.json").write_text(
-        json.dumps(
-            {
-                "dataset": args.target,
-                "method": method.name,
-                "auc_roc": report.auc_roc,
-                "auc_pr": report.auc_pr,
-                "repeats": report.repeats,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out_dir / "report.json", {
+        "dataset": args.target, "method": method.name,
+        "auc_roc": report.auc_roc, "auc_pr": report.auc_pr, "repeats": report.repeats,
+    })
     print(f"{method.name}\tauc_roc\t{report.auc_roc:.4f}\tauc_pr\t{report.auc_pr:.4f}")
     return 0
 
@@ -349,16 +321,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _load_run_dir(
     run_dir: Path,
 ) -> tuple[Graph, np.ndarray, ModelParameters, dict, np.ndarray, SplitAssignment]:
-    for name in ("nodes.tsv", "edges.tsv", "features.bin", "checkpoint.bin", "assignment.tsv", "config.json"):
-        if not (run_dir / name).exists():
-            raise DataError(f"run directory {run_dir} is missing {name}")
     graph = load_graph(run_dir / "nodes.tsv", run_dir / "edges.tsv")
     features = load_matrix(run_dir / "features.bin")
     params = load_checkpoint(run_dir / "checkpoint.bin")
     try:
         config = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
-        seed = int(config["seed"])
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        seed = _cast(int, config["seed"], "seed")
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"{run_dir / 'config.json'}: malformed run config ({exc})") from None
     if features.shape[0] != graph.num_nodes:
         raise DataError(
@@ -369,27 +338,8 @@ def _load_run_dir(
             f"checkpoint/feature mismatch: model expects {params.input_dim} dims,"
             f" features carry {features.shape[1]}"
         )
-    labels = np.zeros(graph.num_nodes, dtype=np.int64)
-    assignment: dict[int, Split] = {}
-    splits = {s.value: s for s in Split}
-    with (run_dir / "assignment.tsv").open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"assignment.tsv line {lineno}: expected 3 fields")
-            try:
-                j, split_name, label = int(parts[0]), parts[1], int(parts[2])
-            except ValueError:
-                raise DataError(f"assignment.tsv line {lineno}: node id and label must be integers") from None
-            if not 0 <= j < graph.num_nodes:
-                raise DataError(f"assignment.tsv line {lineno}: node id {j} out of range")
-            if split_name not in splits:
-                raise DataError(f"assignment.tsv line {lineno}: unknown split {split_name!r}")
-            assignment[j] = splits[split_name]
-            labels[j] = label
-    return graph, features, params, config, labels, SplitAssignment(assignment, seed)
+    labels, split = load_assignment(run_dir / "assignment.tsv", graph.num_nodes, seed)
+    return graph, features, params, config, labels, split
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -400,7 +350,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     roc = auc_roc(probs[test_ids], labels[test_ids])
     pr = auc_pr(probs[test_ids], labels[test_ids])
     payload = {"auc_roc": roc, "auc_pr": pr, "test_nodes": int(test_ids.size)}
-    (run_dir / "eval.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(run_dir / "eval.json", payload)
     print(f"auc_roc\t{roc:.4f}\tauc_pr\t{pr:.4f}\ttest_nodes\t{test_ids.size}")
     return 0
 
@@ -408,7 +358,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = effective_config(args)
     pipeline = pipeline_from_config(config)
-    method = _method_spec(args)
+    method = _method_spec(args, pipeline)
     if args.axis == "os" and not method.use_seng:
         raise UsageError("OS sweep requires a SENG-enabled method (seng or sf)")
     if args.grid is not None:
@@ -420,16 +370,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise UsageError("sweep grid is empty")
     else:
         values = DEFAULT_OS_GRID if args.axis == "os" else DEFAULT_RATIO_GRID
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     graph = load_graph(args.nodes, args.edges)
     task = mask_target(graph, args.target)
-    spec = SweepSpec(axis=args.axis, values=values, repeats=args.repeats, base_seed=int(config["seed"]))
+    spec = SweepSpec(axis=args.axis, values=values, repeats=args.repeats, base_seed=config["seed"])
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cells = sweep(task, method, spec, pipeline)
 
-    _echo_config(out_dir, config, {
-        "command": "sweep", "target": args.target, "method": args.method,
+    _write_json(out_dir / "config.json", {
+        **config, "command": "sweep", "target": args.target, "method": args.method,
         "encoder": args.encoder, "axis": args.axis,
         "grid": list(values), "repeats": args.repeats,
     })
@@ -448,7 +397,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if threshold is None:
         try:
             threshold = float(config["train"]["threshold"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{run_dir / 'config.json'}: malformed run config ({exc!r})") from None
     node_id = graph.find_manufacturer(args.name)
     if node_id is None:
@@ -460,8 +409,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_planted(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = effective_config(args)["seed"]
     spec = PlantedDatasetSpec(
         n_manufacturers=args.manufacturers,
@@ -473,20 +420,11 @@ def cmd_gen_planted(args: argparse.Namespace) -> int:
         seed=seed,
     )
     graph, target = generate_planted_dataset(spec)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_graph_files(graph, out_dir / "nodes.tsv", out_dir / "edges.tsv")
-    meta = {
-        "target": target,
-        "n_manufacturers": spec.n_manufacturers,
-        "n_services_per_category": spec.n_services_per_category,
-        "n_clusters": spec.n_clusters,
-        "capable_fraction": spec.capable_fraction,
-        "signal": spec.signal,
-        "noise": spec.noise,
-        "seed": spec.seed,
-        "nodes": graph.num_nodes,
-        "edges": graph.num_edges,
-    }
-    (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    meta = {**asdict(spec), "target": target, "nodes": graph.num_nodes, "edges": graph.num_edges}
+    _write_json(out_dir / "meta.json", meta)
     print(f"target\t{target}")
     print(f"nodes\t{graph.num_nodes}")
     print(f"edges\t{graph.num_edges}")
@@ -577,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file too
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, FloatingPointError) as exc:

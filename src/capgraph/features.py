@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .graph import Graph, tokenize
+from .graph import Graph, read_exact, tokenize
 from .models import _sigmoid
 from .seng import AugmentedGraph
 
@@ -425,13 +425,8 @@ def load_matrix(path: Path | str) -> np.ndarray:
         magic = fh.read(4)
         if magic != _MATRIX_MAGIC:
             raise DataError(f"{path}: not a capgraph matrix file")
-        header = fh.read(12)
-        if len(header) != 12:
-            raise DataError(f"{path}: truncated matrix header")
-        rows, cols, width = struct.unpack("<III", header)
+        rows, cols, width = struct.unpack("<III", read_exact(fh, 12, f"{path}: truncated matrix header"))
         if width != 8:
             raise DataError(f"{path}: unsupported element width {width}")
-        payload = fh.read(rows * cols * 8)
-        if len(payload) != rows * cols * 8:
-            raise DataError(f"{path}: truncated matrix payload")
+        payload = read_exact(fh, rows * cols * 8, f"{path}: truncated matrix payload")
         return np.frombuffer(payload, dtype=np.float64).reshape(rows, cols).copy()

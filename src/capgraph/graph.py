@@ -13,11 +13,12 @@ classification task, class-imbalance statistics, and stratified splits.
 from __future__ import annotations
 
 import io
+import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -271,10 +272,33 @@ _KIND_TOKENS = {k.value: k for k in Kind}
 _CATEGORY_TOKENS = {c.value: c for c in ServiceCategory}
 
 
-def _parse_node_line(line: str, lineno: int) -> tuple[int, NodeKind]:
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != 4:
-        raise DataError(f"node file line {lineno}: expected 4 tab-separated fields, got {len(parts)}")
+def read_records(path: Path | str, fields: int, what: str) -> Iterator[tuple[int, list[str]]]:
+    """The records of a UTF-8 line file as (line number, parts): each line
+    that is not blank splits on tabs into exactly `fields` parts, the last
+    taking the rest of the line. A line with fewer parts is a DataError
+    naming `what`, the file and the line."""
+    with Path(path).open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t", fields - 1)
+            if len(parts) != fields:
+                raise DataError(
+                    f"{what} {path} line {lineno}: expected {fields} tab-separated fields, got {len(parts)}"
+                )
+            yield lineno, parts
+
+
+def read_exact(fh: BinaryIO, size: int, error: str) -> bytes:
+    """The next `size` bytes of a binary file, or DataError(`error`) when
+    fewer are left. The size is checked before reading, so a header that
+    declares a huge block allocates nothing."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise DataError(error)
+    return fh.read(size)
+
+
+def _parse_node(parts: list[str], lineno: int) -> tuple[int, NodeKind]:
     raw_id, raw_kind, raw_category, name = parts
     try:
         node_id = int(raw_id)
@@ -297,14 +321,11 @@ def load_graph(node_file: Path | str, edge_file: Path | str) -> Graph:
     """Load a graph from node and edge files; duplicate edge lines collapse."""
     node_path, edge_path = Path(node_file), Path(edge_file)
     by_id: dict[int, NodeKind] = {}
-    with node_path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            node_id, node = _parse_node_line(line, lineno)
-            if node_id in by_id:
-                raise DataError(f"node file line {lineno}: duplicate node id {node_id}")
-            by_id[node_id] = node
+    for lineno, parts in read_records(node_path, 4, "node file"):
+        node_id, node = _parse_node(parts, lineno)
+        if node_id in by_id:
+            raise DataError(f"node file line {lineno}: duplicate node id {node_id}")
+        by_id[node_id] = node
     if not by_id:
         raise DataError(f"node file {node_path} is empty")
     p = len(by_id)
@@ -369,20 +390,28 @@ def write_graph_files(graph: Graph, node_file: Path | str, edge_file: Path | str
 def load_corpus(corpus_file: Path | str) -> dict[str, str]:
     """Read a corpus file: one `name<TAB>document-text` record per line."""
     docs: dict[str, str] = {}
-    with Path(corpus_file).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t", 1)
-            if len(parts) != 2:
-                raise DataError(f"corpus line {lineno}: expected 'name<TAB>document-text'")
-            name, text = parts
-            if name in docs:
-                raise DataError(f"corpus line {lineno}: duplicate manufacturer name {name!r}")
-            docs[name] = text
+    for lineno, (name, text) in read_records(corpus_file, 2, "corpus"):
+        if name in docs:
+            raise DataError(f"corpus line {lineno}: duplicate manufacturer name {name!r}")
+        docs[name] = text
     if not docs:
         raise DataError("corpus is empty")
     return docs
+
+
+def load_services(services_file: Path | str) -> list[tuple[str, ServiceCategory]]:
+    """Read a service vocabulary: one `name<TAB>category` record per line."""
+    services = []
+    for lineno, (name, category) in read_records(services_file, 2, "services file"):
+        if category not in _CATEGORY_TOKENS:
+            raise DataError(f"services file line {lineno}: unknown category {category!r}")
+        services.append((name, _CATEGORY_TOKENS[category]))
+    return services
+
+
+def load_service_edges(edges_file: Path | str) -> list[tuple[str, str]]:
+    """Read service-service edges: one `name<TAB>name` record per line."""
+    return [(a, b) for _, (a, b) in read_records(edges_file, 2, "service-edges file")]
 
 
 def _contains_token_run(doc_tokens: Sequence[str], needle: Sequence[str]) -> bool:
@@ -602,3 +631,31 @@ def stratified_split(
             for j in members[lo:hi]:
                 assignment[int(j)] = split
     return SplitAssignment(assignment, seed)
+
+
+def write_assignment(path: Path | str, split: SplitAssignment, labels: np.ndarray) -> None:
+    """Write `node<TAB>split<TAB>label` for every node."""
+    lines = [f"{j}\t{split.assignment[j].value}\t{int(label)}\n" for j, label in enumerate(labels)]
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
+def load_assignment(path: Path | str, num_nodes: int, seed: int) -> tuple[np.ndarray, SplitAssignment]:
+    """Read a `write_assignment` file for a graph of `num_nodes` nodes: the
+    labels (0 or 1; 0 for an unlisted node) and the split of the listed nodes."""
+    labels = np.zeros(num_nodes, dtype=np.int64)
+    assignment: dict[int, Split] = {}
+    splits = {s.value: s for s in Split}
+    for lineno, (raw_id, split_name, raw_label) in read_records(path, 3, "assignment file"):
+        try:
+            j, label = int(raw_id), int(raw_label)
+        except ValueError:
+            raise DataError(f"assignment.tsv line {lineno}: node id and label must be integers") from None
+        if raw_label not in ("0", "1"):
+            raise DataError(f"assignment.tsv line {lineno}: label must be 0 or 1, got {raw_label!r}")
+        if not 0 <= j < num_nodes:
+            raise DataError(f"assignment.tsv line {lineno}: node id {j} out of range")
+        if split_name not in splits:
+            raise DataError(f"assignment.tsv line {lineno}: unknown split {split_name!r}")
+        assignment[j] = splits[split_name]
+        labels[j] = label
+    return labels, SplitAssignment(assignment, seed)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .graph import Graph, SplitAssignment, _largest_remainder
+from .graph import Graph, SplitAssignment, _largest_remainder, read_exact
 from .metrics import auc_pr, auc_roc
 from .seng import AugmentedGraph
 
@@ -32,7 +32,6 @@ PROB_CLAMP = 1e-7
 _CHECKPOINT_MAGIC = b"CGCK"
 _KIND_BYTES = {"graphsage": 0, "gcn": 1}
 _KIND_NAMES = {v: k for k, v in _KIND_BYTES.items()}
-_FANOUT_SCOPE = "fanout (--fanout) applies to GraphSAGE node classification only"
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -455,6 +454,13 @@ class EpochRecord:
     valid_auc: float
 
 
+def check_fanout_scope(config: TrainConfig, kind: str, task: str) -> None:
+    """Refuse a fanout where it would change nothing: only GraphSAGE node
+    classification samples neighbors."""
+    if config.fanout is not None and (kind, task) != ("graphsage", "node"):
+        raise DataError("fanout (--fanout) applies to GraphSAGE node classification only")
+
+
 def inverse_frequency_weights(y: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
     """w_c = |mask| / (2 * count_c): mean weight 1 on a balanced mask."""
     yj = np.asarray(y)[np.asarray(mask)]
@@ -506,8 +512,7 @@ def train_node_classifier(
     y = graph.labels
     train_idx = np.array(split.train_ids, dtype=np.int64)
     valid_idx = np.array(split.valid_ids, dtype=np.int64)
-    if config.fanout is not None and kind != "graphsage":
-        raise DataError(_FANOUT_SCOPE)
+    check_fanout_scope(config, kind, "node")
     weights = inverse_frequency_weights(y, train_idx)
 
     rng = np.random.default_rng(config.seed)
@@ -658,8 +663,7 @@ def train_link_predictor(
     product of the linear (pre-ReLU) second-layer encoder outputs z2; see
     `link_embeddings`.
     """
-    if config.fanout is not None:
-        raise DataError(_FANOUT_SCOPE)
+    check_fanout_scope(config, kind, "link")
     rng = np.random.default_rng(config.seed)
     link_split = split_link_edges(graph, target_services, ratios, rng)
     message = Graph(graph.nodes, link_split.message_edges)
@@ -710,36 +714,32 @@ def save_checkpoint(params: ModelParameters, path: Path | str) -> None:
                 fh.write(np.ascontiguousarray(w, dtype=np.float64).tobytes())
 
 
-def _read_exact(fh, size: int, path: Path | str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise DataError(f"{path}: truncated checkpoint header")
-    return data
-
-
 def load_checkpoint(path: Path | str) -> ModelParameters:
+    truncated = f"{path}: truncated checkpoint header"
     with Path(path).open("rb") as fh:
         if fh.read(4) != _CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a capgraph checkpoint")
-        kind_byte, flags, _, _ = struct.unpack("<BBBB", _read_exact(fh, 4, path))
+        kind_byte, flags, _, _ = struct.unpack("<BBBB", read_exact(fh, 4, truncated))
         if kind_byte not in _KIND_NAMES:
             raise DataError(f"{path}: unknown model kind byte {kind_byte}")
         if flags != 0:
             raise DataError(f"{path}: reserved flags byte is {flags}, not 0")
-        (d_hidden,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        (d_hidden,) = struct.unpack("<I", read_exact(fh, 4, truncated))
         mats: list[np.ndarray | None] = []
         for _ in range(3):
-            rows, cols = struct.unpack("<II", _read_exact(fh, 8, path))
+            rows, cols = struct.unpack("<II", read_exact(fh, 8, truncated))
             if rows == 0 and cols == 0:
                 mats.append(None)
                 continue
-            payload = fh.read(rows * cols * 8)
-            if len(payload) != rows * cols * 8:
-                raise DataError(f"{path}: truncated checkpoint payload")
+            payload = read_exact(fh, rows * cols * 8, f"{path}: truncated checkpoint payload")
             mats.append(np.frombuffer(payload, dtype=np.float64).reshape(rows, cols).copy())
-        if mats[0] is None or mats[1] is None:
-            raise DataError(f"{path}: checkpoint missing encoder weights")
-        params = ModelParameters(_KIND_NAMES[kind_byte], mats[0], mats[1], mats[2])
-        if params.d_hidden != d_hidden:
-            raise DataError(f"{path}: header width {d_hidden} != payload width {params.d_hidden}")
-        return params
+    w1, w2, w3 = mats
+    if w1 is None or w2 is None:
+        raise DataError(f"{path}: checkpoint missing encoder weights")
+    kind = _KIND_NAMES[kind_byte]
+    k, h = (2 if kind == "graphsage" else 1), d_hidden  # as in init_parameters
+    head_fits = w3 is None or w3.shape == (k * h, 1)
+    if w1.shape[1] != h or w1.shape[0] % k or w2.shape != (k * h, h) or not head_fits:
+        shapes = [None if w is None else w.shape for w in mats]
+        raise DataError(f"{path}: weight shapes {shapes} do not fit a {kind} model of hidden width {h}")
+    return ModelParameters(kind, w1, w2, w3)

@@ -79,6 +79,32 @@ def test_build_missing_inputs_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _unreadable(path: Path, how: str) -> None:
+    """Make `path` missing, a directory, or a file that is not UTF-8."""
+    if how == "not-utf8":
+        path.write_bytes(b"\xff" + path.read_bytes())
+        return
+    path.unlink()
+    if how == "directory":
+        path.mkdir()
+
+
+@pytest.mark.parametrize("how", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("name", ["corpus.tsv", "services.tsv", "service-edges.tsv"])
+def test_build_unreadable_input_exit_2(tmp_path, capsys, name, how):
+    corpus, services = _corpus_inputs(tmp_path)
+    service_edges = tmp_path / "service-edges.tsv"
+    service_edges.write_text("machining\tanodizing\n", encoding="utf-8")
+    _unreadable(tmp_path / name, how)
+    out = tmp_path / "built"
+    assert main([
+        "build", "--corpus", str(corpus), "--services", str(services),
+        "--service-edges", str(service_edges), "--out", str(out),
+    ]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
+
+
 def test_build_data_error_exit_2(tmp_path, capsys):
     nodes = tmp_path / "n.tsv"
     nodes.write_text("0\tmanufacturer\t-\ta\n", encoding="utf-8")
@@ -169,6 +195,30 @@ def test_train_unknown_target_exit_2(planted_dir, tmp_path):
         "--target", "nope", "--out", str(tmp_path / "x"), *FAST_FLAGS,
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("how", ["missing", "directory", "not-utf8"])
+def test_train_unreadable_node_file_exit_2(planted_dir, tmp_path, capsys, how):
+    _unreadable(planted_dir / "nodes.tsv", how)
+    assert _train(planted_dir, tmp_path / "run", "--method", "plain") == 2
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", ["--method", "sf", "--encoder", "gcn", "--fanout", "2"]),  # refused before the features
+    ("train", ["--target", "nope"]),
+    ("train", ["--nodes", "missing.tsv"]),
+    ("sweep", ["--nodes", "missing.tsv"]),
+])
+def test_failed_run_writes_no_output_dir(planted_dir, tmp_path, capsys, command, extra):
+    out = tmp_path / "out"
+    sweep_flags = ["--method", "seng", "--axis", "os"] if command == "sweep" else []
+    assert main([
+        command, "--nodes", str(planted_dir / "nodes.tsv"), "--edges", str(planted_dir / "edges.tsv"),
+        "--target", "target capability", "--out", str(out), *FAST_FLAGS, *sweep_flags, *extra,
+    ]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -318,6 +368,26 @@ def test_eval_non_integer_assignment_exit_2(trained_run, tmp_path, capsys):
     assert "must be integers" in capsys.readouterr().err
 
 
+def test_eval_assignment_label_not_binary_exit_2(trained_run, tmp_path, capsys):
+    assert _eval_damaged(trained_run, tmp_path, "assignment.tsv", lambda b: b"0\ttrain\t7\n" + b) == 2
+    assert "line 1: label must be 0 or 1, got '7'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, how", [
+    ("assignment.tsv", "missing"),
+    ("assignment.tsv", "directory"),
+    ("assignment.tsv", "not-utf8"),
+    ("checkpoint.bin", "missing"),
+    ("checkpoint.bin", "directory"),
+])
+def test_eval_unreadable_run_file_exit_2(trained_run, tmp_path, capsys, name, how):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    _unreadable(run / name, how)
+    assert main(["eval", "--run-dir", str(run)]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+
+
 def test_eval_out_of_range_assignment_exit_2(trained_run, tmp_path, capsys):
     assert _eval_damaged(trained_run, tmp_path, "assignment.tsv", lambda b: b"99999\ttrain\t1\n" + b) == 2
     assert "out of range" in capsys.readouterr().err
@@ -325,6 +395,11 @@ def test_eval_out_of_range_assignment_exit_2(trained_run, tmp_path, capsys):
 
 def test_eval_malformed_config_exit_2(trained_run, tmp_path, capsys):
     assert _eval_damaged(trained_run, tmp_path, "config.json", lambda b: b[: len(b) // 2]) == 2
+    assert "malformed run config" in capsys.readouterr().err
+
+
+def test_eval_config_nested_too_deep_exit_2(trained_run, tmp_path, capsys):
+    assert _eval_damaged(trained_run, tmp_path, "config.json", lambda b: b"[" * 100_000) == 2
     assert "malformed run config" in capsys.readouterr().err
 
 
@@ -375,6 +450,16 @@ def test_predict_config_without_threshold_exit_2(trained_run, tmp_path, capsys):
     assert main(["predict", "--run-dir", str(run), "--name", "maker-00000", "--threshold", "0.5"]) == 0
 
 
+def test_predict_threshold_too_large_for_a_float_exit_2(trained_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    config = json.loads((run / "config.json").read_text())
+    config["train"]["threshold"] = 10**400
+    (run / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["predict", "--run-dir", str(run), "--name", "maker-00000"]) == 2
+    assert "malformed run config" in capsys.readouterr().err
+
+
 def test_train_eval_predict_never_build_a_dense_adjacency(planted_dir, tmp_path, monkeypatch):
     from capgraph.graph import Graph
 
@@ -420,6 +505,40 @@ def test_config_bad_pipeline_section_exit_1(planted_dir, tmp_path, capsys, secti
     err = capsys.readouterr().err
     assert err.startswith("error: bad configuration") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"train": {"max_epochs": 3.9}}, "train.max_epochs must be an integer, got 3.9"),
+    ({"train": {"max_epochs": "7"}}, 'train.max_epochs must be an integer, got "7"'),
+    ({"seng": {"alpha_choices": "23"}}, 'seng.alpha_choices must be a list, got "23"'),
+    ({"seed": True}, "seed must be an integer, got true"),
+], ids=["fraction", "string", "string-for-list", "boolean-seed"])
+def test_config_value_of_wrong_type_exit_1(planted_dir, tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main([
+        "train", "--nodes", str(planted_dir / "nodes.tsv"), "--edges", str(planted_dir / "edges.tsv"),
+        "--target", "target capability", "--method", "plain", "--config", str(cfg), "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad configuration") and key in err
+    assert not out.exists()
+
+
+def test_config_integer_too_large_for_a_float_exit_1(planted_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"learning_rate": 10**400}}), encoding="utf-8")
+    assert _train(planted_dir, tmp_path / "run", "--config", str(cfg)) == 1
+    assert capsys.readouterr().err.startswith("error: bad configuration")
+
+
+@pytest.mark.parametrize("content", [b"\xff{}", b"[" * 100_000], ids=["not-utf8", "nested-too-deep"])
+def test_config_file_unreadable_exit_1(planted_dir, tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert _train(planted_dir, tmp_path / "run", "--config", str(cfg)) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config file")
 
 
 def test_env_seed_fallback(planted_dir, tmp_path, monkeypatch):

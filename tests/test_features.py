@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import struct
 import tracemalloc
 
 import numpy as np
@@ -500,6 +501,13 @@ def test_matrix_bad_magic(tmp_path):
     path = tmp_path / "m.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 12)
     with pytest.raises(DataError, match="not a capgraph matrix"):
+        load_matrix(path)
+
+
+def test_matrix_declaring_a_huge_payload_is_truncated(tmp_path):
+    path = tmp_path / "m.bin"
+    path.write_bytes(b"CGMX" + struct.pack("<III", 2**32 - 1, 2**32 - 1, 8))
+    with pytest.raises(DataError, match="truncated matrix payload"):
         load_matrix(path)
 
 

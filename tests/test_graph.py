@@ -18,6 +18,7 @@ from capgraph.graph import (
     load_graph,
     manufacturer,
     mask_target,
+    read_records,
     restore_target,
     service,
     stratified_split,
@@ -86,6 +87,21 @@ def test_load_graph_requires_contiguous_ids(tmp_path):
     edges = _write(tmp_path, "e.tsv", "")
     with pytest.raises(DataError, match="contiguous"):
         load_graph(nodes, edges)
+
+
+def test_read_records_skips_blank_lines_and_keeps_the_rest_of_the_line(tmp_path):
+    path = _write(tmp_path, "r.tsv", "a\tb\tc\n\n \t \nx\ty\nlonely\n")
+    records = read_records(path, 2, "pair file")
+    assert next(records) == (1, ["a", "b\tc"])
+    assert next(records) == (4, ["x", "y"])
+    with pytest.raises(DataError, match=r"pair file .*r\.tsv line 5: expected 2 tab-separated fields, got 1"):
+        next(records)
+
+
+def test_load_graph_extra_tab_lands_in_the_name(tmp_path):
+    nodes = _write(tmp_path, "n.tsv", "0\tmanufacturer\t-\ta\tb\n")
+    with pytest.raises(DataError, match="contains tab"):
+        load_graph(nodes, _write(tmp_path, "e.tsv", ""))
 
 
 @pytest.mark.parametrize("text", [

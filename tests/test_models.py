@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -743,6 +744,31 @@ def test_checkpoint_reserved_flags_byte_must_be_zero(tmp_path, kind, with_head, 
     data[5] = flags
     path.write_bytes(bytes(data))
     with pytest.raises(DataError, match="reserved flags byte"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_declaring_a_huge_block_is_truncated(tmp_path):
+    path = tmp_path / "huge.bin"
+    save_checkpoint(init_parameters("gcn", 3, 4, np.random.default_rng(0)), path)
+    data = bytearray(path.read_bytes())
+    data[12:20] = struct.pack("<II", 2**32 - 1, 2**32 - 1)  # the first block's rows and columns
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match="truncated checkpoint payload"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("offset, forged", [
+    (4, b"\x01"),  # GraphSAGE weights read as GCN
+    (8, struct.pack("<I", 5)),  # a hidden width the weights do not have
+    (20 + 6 * 4 * 8, struct.pack("<II", 4, 8)),  # w2 (8, 4) read as (4, 8): eval's matmul fails on it
+])
+def test_checkpoint_weight_shapes_must_fit_the_model(tmp_path, offset, forged):
+    path = tmp_path / "shapes.bin"
+    save_checkpoint(init_parameters("graphsage", 3, 4, np.random.default_rng(0)), path)
+    data = bytearray(path.read_bytes())
+    data[offset : offset + len(forged)] = forged
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match="do not fit a"):
         load_checkpoint(path)
 
 
