@@ -268,6 +268,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.repeats < 1:
+        raise DataError("--repeats must be >= 1")
     config = effective_config(args)
     pipeline = pipeline_from_config(config)
     method = _method_spec(args, pipeline)
@@ -515,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file too
+    except (DataError, OSError) as exc:  # a missing or unreadable file too
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, FloatingPointError) as exc:

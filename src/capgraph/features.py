@@ -14,6 +14,7 @@ import itertools
 import math
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -24,12 +25,14 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .graph import Graph, read_exact, tokenize
-from .models import _sigmoid
 from .seng import AugmentedGraph
 
 FEATURE_DIM = 3
 
 _MATRIX_MAGIC = b"CGMX"
+# Paragraph vectors draw noise words and count pairs for as many visits at
+# once as a count table of this many (visit, word) cells holds.
+_COUNT_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,26 @@ def build_neighbor_paragraphs(graph: Graph | AugmentedGraph) -> dict[int, list[s
     return paragraphs
 
 
+def _inverse_cdf(cdf: np.ndarray):
+    """`u -> cdf.searchsorted(u, side="right")` for u in [0, 1), through a
+    table of 2^k equal buckets. A bucket whose interior holds no entry of
+    `cdf` gives its answer directly; only draws in the other buckets are
+    searched. u * 2^k is exact, so the answers are exactly the search's."""
+    size = 1 << min(16, (64 * cdf.size).bit_length())
+    edges = np.arange(size + 1) / size
+    low = cdf.searchsorted(edges[:-1], side="right")  # entries <= the bucket's lower edge
+    mixed = cdf.searchsorted(edges[1:], side="left") != low  # an entry inside the bucket
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        bucket = (u * size).astype(np.intp)
+        out = low[bucket]
+        search = np.flatnonzero(mixed[bucket])
+        out.flat[search] = cdf.searchsorted(u.flat[search], side="right")
+        return out
+
+    return draw
+
+
 def train_paragraph_vectors(
     paragraphs: Mapping[int, Sequence[str]],
     dim: int = 64,
@@ -89,17 +112,22 @@ def train_paragraph_vectors(
 ) -> np.ndarray:
     """Distributed bag-of-words paragraph vectors with negative sampling.
 
-    One row per paragraph, in mapping order. Each paragraph visit batches all
-    of its (paragraph, word) pairs plus `negatives` noise words per pair into
-    a single update; the learning rate decays linearly over visits. Empty
-    paragraphs are skipped and map to the zero vector.
+    One row per paragraph, in mapping order. A paragraph visit pairs the
+    paragraph vector v with each of its tokens (label 1) and with
+    `negatives` noise words per token (label 0); a noise word equal to its
+    token is dropped. With u and v read at the start of the visit, each
+    distinct word w of the visit, with M_w pairs of which P_w positive,
+    takes the sum of its pairs' SGD steps, u_w += a (P_w - M_w s(u_w . v)) v,
+    and v takes the mean of its steps over the visit's positive tokens,
+    v += sum_w a (P_w - M_w s(u_w . v)) u_w / tokens. So a repeated token
+    does not multiply the paragraph step, and the vectors stay bounded.
+    The learning rate a decays linearly over visits. Empty paragraphs are
+    skipped and map to the zero vector.
 
     Noise words are drawn by inverse-CDF search over the unigram^0.75 table
-    (the algorithm of `Generator.choice(p=...)`), one epoch's draws at a
-    time. The word-vector update is scattered element by element through
-    the flattened matrix, so each element receives its additions in target
-    order. The vectors grow large enough that any other rounding changes
-    the features downstream (see README, FA and float rounding).
+    (the algorithm of `Generator.choice(p=...)`, see `_inverse_cdf`), one
+    block of visits' draws at a time. The generator yields its stream in
+    order, so the output does not depend on the block size.
     """
     if dim < 2:
         raise DataError("embedding width must be >= 2")
@@ -110,7 +138,8 @@ def train_paragraph_vectors(
 
     vocab = sorted({tok for toks in token_lists for tok in toks})
     index = {tok: i for i, tok in enumerate(vocab)}
-    counts = np.zeros(len(vocab), dtype=np.float64)
+    n_words = len(vocab)
+    counts = np.zeros(n_words, dtype=np.float64)
     encoded = []
     for toks in token_lists:
         ids = np.array([index[t] for t in toks], dtype=np.int64)
@@ -120,42 +149,49 @@ def train_paragraph_vectors(
     noise /= noise.sum()
     noise_cdf = noise.cumsum()
     noise_cdf /= noise_cdf[-1]
+    draw = _inverse_cdf(noise_cdf)
 
     rng = np.random.default_rng(seed)
     vectors = rng.uniform(-0.5 / dim, 0.5 / dim, size=(len(keys), dim))
-    word_out = np.zeros((len(vocab), dim), dtype=np.float64)
-    word_out_flat = word_out.reshape(-1)  # a view: scattering into it updates word_out
-    flat_rows = np.arange(word_out.size).reshape(word_out.shape)  # flat index of each element
+    word_out = np.zeros((n_words, dim), dtype=np.float64)
     for row, ids in enumerate(encoded):
         if ids.size == 0:
             vectors[row] = 0.0
 
     nonempty = [r for r, ids in enumerate(encoded) if ids.size]
-    epoch_tokens = sum(encoded[r].size for r in nonempty)
+    per_block = max(1, _COUNT_CELLS // n_words)
+    # a visit's pairs are counted per distinct word in cells visit * n_words + word
+    blocks = []  # per block: its first visit in the epoch, its rows, their tokens, each token's first cell
+    for b in range(0, len(nonempty), per_block):
+        rows = nonempty[b:b + per_block]
+        owner = np.repeat(np.arange(len(rows)) * n_words, [encoded[r].size for r in rows])
+        blocks.append((b, rows, np.concatenate([encoded[r] for r in rows]), owner))
     total_visits = epochs * len(nonempty)
     min_alpha = learning_rate * 1e-4
-    visit = 0
-    for _ in range(epochs):
-        # one epoch's noise draws at once: the generator yields the same
-        # stream as one (k, negatives) draw per visit
-        draws = noise_cdf.searchsorted(rng.random((epoch_tokens, negatives)), side="right")
-        offset = 0
-        for row in nonempty:
-            alpha = max(min_alpha, learning_rate * (1.0 - visit / total_visits))
-            visit += 1
-            pos = encoded[row]
-            neg = draws[offset:offset + pos.size]
-            offset += pos.size
-            keep = neg != pos[:, None]  # drop negatives that collide with their positive
-            targets = np.concatenate([pos, neg[keep]])
-            labels = np.zeros(targets.size)
-            labels[:pos.size] = 1.0
-            v = vectors[row]
-            u = word_out[targets]
-            g = alpha * (labels - _sigmoid(u @ v))
-            dv = g @ u
-            np.add.at(word_out_flat, flat_rows[targets].reshape(-1), (g[:, None] * v).reshape(-1))
-            vectors[row] = v + dv
+    for epoch in range(epochs):
+        for first, rows, pos, owner in blocks:
+            neg = draw(rng.random((pos.size, negatives)))
+            keep = neg != pos[:, None]  # a noise word equal to its token is dropped
+            cells = len(rows) * n_words
+            positive = np.bincount(owner + pos, minlength=cells)
+            pairs = positive + np.bincount((owner[:, None] + neg)[keep], minlength=cells)
+            hit = np.flatnonzero(pairs)
+            bounds = hit.searchsorted(np.arange(len(rows) + 1) * n_words).tolist()
+            words = hit % n_words
+            visit = epoch * len(nonempty) + first + np.arange(len(rows))
+            alpha = np.maximum(min_alpha, learning_rate * (1.0 - visit / total_visits))[hit // n_words]
+            # a (P - M s(x)) with s(x) = (1 + tanh(x / 2)) / 2: a (P - M / 2) - (a M / 2) tanh(x / 2)
+            half = 0.5 * alpha * pairs[hit]
+            base = alpha * positive[hit] - half
+            for i, row in enumerate(rows):
+                at = slice(bounds[i], bounds[i + 1])
+                w = words[at]
+                v = vectors[row]
+                u = word_out[w]
+                step = base[at] - half[at] * np.tanh(0.5 * (u @ v))  # M_w times the mean pair step
+                dv = step @ u
+                word_out[w] = u + np.multiply.outer(step, v)  # each distinct word once
+                vectors[row] = v + dv / encoded[row].size
     return vectors
 
 
@@ -167,6 +203,7 @@ _EXAGGERATION = 12.0
 _EXAGGERATION_ITERS = 100
 _MOMENTUM_SWITCH_ITER = 250
 _P_FLOOR = 1e-12
+_PIECE_ROWS = 64  # rows of a t-SNE block worked at a time in its thread's scratch
 
 
 def default_perplexity(n: int) -> float:
@@ -217,13 +254,31 @@ def _zero_diagonal(block: np.ndarray, start: int) -> None:
     block.reshape(-1)[start::block.shape[1] + 1] = 0.0
 
 
+def _row_pieces(n: int, buffers: int):
+    """`pieces(rows)`, which yields the pieces of a row block of an n-column
+    matrix, at most _PIECE_ROWS rows each, with `buffers` scratch blocks of
+    the piece's shape. Each thread keeps its scratch and reuses it."""
+    local = threading.local()
+
+    def pieces(rows: slice):
+        if not hasattr(local, "scratch"):
+            local.scratch = np.empty((buffers, min(_PIECE_ROWS, n), n))
+        for a in range(rows.start, rows.stop, _PIECE_ROWS):
+            piece = slice(a, min(a + _PIECE_ROWS, rows.stop))
+            yield piece, *local.scratch[:, :piece.stop - a]
+
+    return pieces
+
+
 def conditional_affinities(f1: np.ndarray, perplexity: float) -> np.ndarray:
     """Row-stochastic Gaussian affinities with per-point bandwidth solved by
     bisection to match the target perplexity; zero diagonal.
 
     Squared distances are (|x_i|^2 + |x_j|^2) - (2 x_i) . x_j, clipped at
     zero, with the dot products from `np.einsum` rather than BLAS, whose
-    results change with its thread count.
+    results change with its thread count. The only n x n buffer holds the
+    distances; each bisection step forms the affinities a piece of rows at
+    a time, and the last bandwidths' affinities overwrite the distances.
     """
     x = np.asarray(f1, dtype=np.float64)
     n = x.shape[0]
@@ -234,29 +289,36 @@ def conditional_affinities(f1: np.ndarray, perplexity: float) -> np.ndarray:
     sq = np.sum(x * x, axis=1)
     x2 = 2.0 * x
     d2 = np.empty((n, n))
-    w = np.empty((n, n))
     sum_w = np.empty(n)
     d2_w = np.empty(n)  # row sums of d2 * w
     beta = np.ones(n)
+    pieces = _row_pieces(n, 1)
 
     def distances(rows: slice) -> None:
-        d, scratch = d2[rows], w[rows]
-        np.add(sq[rows, None], sq[None, :], out=scratch)
-        np.einsum("ik,jk->ij", x2[rows], x, out=d)
-        np.subtract(scratch, d, out=d)
-        np.maximum(d, 0.0, out=d)
-        _zero_diagonal(d, rows.start)
+        for piece, scratch in pieces(rows):
+            d = d2[piece]
+            np.add(sq[piece, None], sq[None, :], out=scratch)
+            np.einsum("ik,jk->ij", x2[piece], x, out=d)
+            np.subtract(scratch, d, out=d)
+            np.maximum(d, 0.0, out=d)
+            _zero_diagonal(d, piece.start)
+
+    def weights(d: np.ndarray, rows: slice, out: np.ndarray) -> None:
+        np.multiply(d, -beta[rows, None], out=out)
+        np.exp(out, out=out)
+        _zero_diagonal(out, rows.start)
 
     def affinities(rows: slice) -> None:
-        d, a = d2[rows], w[rows]
-        np.multiply(d, -beta[rows, None], out=a)
-        np.exp(a, out=a)
-        _zero_diagonal(a, rows.start)
-        np.maximum(a.sum(axis=1), 1e-300, out=sum_w[rows])
-        np.einsum("ij,ij->i", d, a, out=d2_w[rows])
+        for piece, w in pieces(rows):
+            d = d2[piece]
+            weights(d, piece, w)
+            np.maximum(w.sum(axis=1), 1e-300, out=sum_w[piece])
+            np.einsum("ij,ij->i", d, w, out=d2_w[piece])
 
     def normalise(rows: slice) -> None:
-        np.divide(w[rows], sum_w[rows, None], out=w[rows])
+        w = d2[rows]
+        weights(w, rows, w)
+        np.divide(w, sum_w[rows, None], out=w)
 
     target_entropy = np.log(perplexity)
     beta_min = np.full(n, -np.inf)
@@ -265,6 +327,7 @@ def conditional_affinities(f1: np.ndarray, perplexity: float) -> np.ndarray:
         run(distances)
         for _ in range(64):
             run(affinities)
+            tried = beta
             entropy = np.log(sum_w) + beta * d2_w / sum_w
             diff = entropy - target_entropy
             too_high = diff > 0  # entropy too large -> increase precision
@@ -276,16 +339,27 @@ def conditional_affinities(f1: np.ndarray, perplexity: float) -> np.ndarray:
             beta = np.where(np.isfinite(beta), beta, 1.0)
             if np.all(np.abs(diff) < 1e-7):
                 break
-        # the affinities of the last bandwidths tried, normalised in place
+        beta = tried  # the affinities of the last bandwidths tried, normalised
         run(normalise)
-    return w
+    return d2
 
 
 def joint_affinities(f1: np.ndarray, perplexity: float) -> np.ndarray:
-    """Symmetrized joint distribution P = (Pc + Pc.T) / 2n, floored away from 0."""
-    pc = conditional_affinities(f1, perplexity)
-    p = pc + pc.T
-    p /= 2.0 * pc.shape[0]
+    """Symmetrized joint distribution P = (Pc + Pc.T) / 2n, floored away from
+    0, formed in place over square tiles of Pc."""
+    p = conditional_affinities(f1, perplexity)
+    n = p.shape[0]
+    for a in range(0, n, _PIECE_ROWS):
+        rows = slice(a, a + _PIECE_ROWS)
+        for b in range(a, n, _PIECE_ROWS):
+            cols = slice(b, b + _PIECE_ROWS)
+            upper, lower = p[rows, cols], p[cols, rows]
+            if a == b:
+                upper[...] = upper + lower.T  # the tile is its own mirror: sum into a copy first
+            else:
+                upper += lower.T
+                lower[...] = upper.T
+    p /= 2.0 * n
     return np.maximum(p, _P_FLOOR, out=p)
 
 
@@ -304,12 +378,14 @@ def reduce_to_plane(
 
     Gradient descent with momentum (0.5, then 0.8 after iteration 250),
     per-coordinate gain adaptation, and x12 early exaggeration for the
-    first 100 iterations. Besides P the loop holds two n x n buffers: the
-    Student-t kernel 1 / (1 + |y_i - y_j|^2), from coordinate differences,
-    and (P - Q / exaggeration) * kernel, whose row sums and products with
-    the coordinates give the gradient (times 4 x exaggeration). Rows are
-    worked in parallel blocks with no BLAS call, so the output depends on
-    the inputs and the seed alone.
+    first 100 iterations. P is the loop's only n x n buffer. Each iteration
+    forms the Student-t kernel 1 / (1 + |y_i - y_j|^2), from coordinate
+    differences, a piece of rows at a time in scratch that each worker
+    thread keeps: once for its sum, and once more for (P - Q / exaggeration)
+    * kernel, whose row sums and products with the coordinates give the
+    gradient (times 4 x exaggeration). Rows are worked in parallel blocks
+    with no BLAS call, so the output depends on the inputs and the seed
+    alone.
     """
     f1 = np.asarray(f1, dtype=np.float64)
     n = f1.shape[0]
@@ -320,38 +396,41 @@ def reduce_to_plane(
     y = initial_embedding(n, seed)
     update = np.zeros_like(y)
     gains = np.ones_like(y)
-    num = np.empty((n, n))
-    pq = np.empty((n, n))
     num_rows = np.empty(n)
     pq_rows = np.empty(n)
     attraction = np.empty((2, n))  # sum_j pq_ij y_j, one row per coordinate
     y0 = y1 = z = exaggeration = None  # set per iteration, read by the block steps
+    pieces = _row_pieces(n, 2)
 
-    def kernel(rows: slice) -> None:
-        k, scratch = num[rows], pq[rows]
+    def student_t(piece: slice, k: np.ndarray, scratch: np.ndarray) -> None:
         # y_j - y_i, squared: a broadcast copy and an in-place subtraction
         # beat one subtraction of two broadcast operands
         scratch[...] = y0
-        np.subtract(scratch, y0[rows, None], out=scratch)
+        np.subtract(scratch, y0[piece, None], out=scratch)
         np.multiply(scratch, scratch, out=scratch)
         np.add(scratch, 1.0, out=scratch)
         k[...] = y1
-        np.subtract(k, y1[rows, None], out=k)
+        np.subtract(k, y1[piece, None], out=k)
         np.multiply(k, k, out=k)
         np.add(scratch, k, out=k)
         np.divide(1.0, k, out=k)
-        _zero_diagonal(k, rows.start)
-        num_rows[rows] = k.sum(axis=1)
+        _zero_diagonal(k, piece.start)
+
+    def kernel(rows: slice) -> None:
+        for piece, k, scratch in pieces(rows):
+            student_t(piece, k, scratch)
+            num_rows[piece] = k.sum(axis=1)
 
     def forces(rows: slice) -> None:
-        k, f = num[rows], pq[rows]
-        np.divide(k, z * exaggeration, out=f)  # q / exaggeration
-        np.maximum(f, _P_FLOOR / exaggeration, out=f)
-        np.subtract(p[rows], f, out=f)
-        np.multiply(f, k, out=f)
-        pq_rows[rows] = f.sum(axis=1)
-        np.einsum("ij,j->i", f, y0, out=attraction[0, rows])
-        np.einsum("ij,j->i", f, y1, out=attraction[1, rows])
+        for piece, k, f in pieces(rows):
+            student_t(piece, k, f)
+            np.divide(k, z * exaggeration, out=f)  # q / exaggeration
+            np.maximum(f, _P_FLOOR / exaggeration, out=f)
+            np.subtract(p[piece], f, out=f)
+            np.multiply(f, k, out=f)
+            pq_rows[piece] = f.sum(axis=1)
+            np.einsum("ij,j->i", f, y0, out=attraction[0, piece])
+            np.einsum("ij,j->i", f, y1, out=attraction[1, piece])
 
     with _each_block(n) as run:
         for it in range(iterations):

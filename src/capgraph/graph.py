@@ -276,17 +276,25 @@ def read_records(path: Path | str, fields: int, what: str) -> Iterator[tuple[int
     """The records of a UTF-8 line file as (line number, parts): each line
     that is not blank splits on tabs into exactly `fields` parts, the last
     taking the rest of the line. A line with fewer parts is a DataError
-    naming `what`, the file and the line."""
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t", fields - 1)
-            if len(parts) != fields:
-                raise DataError(
-                    f"{what} {path} line {lineno}: expected {fields} tab-separated fields, got {len(parts)}"
-                )
-            yield lineno, parts
+    naming `what`, the file and the line; a file that is not UTF-8, one
+    naming `what` and the file."""
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                parts = line.rstrip("\n").split("\t", fields - 1)
+                if len(parts) != fields:
+                    raise DataError(
+                        f"{what} {path} line {lineno}: expected {fields} tab-separated fields, got {len(parts)}"
+                    )
+                yield lineno, parts
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(what, path, exc) from None
+
+
+def _not_utf8(what: str, path: Path | str, exc: UnicodeDecodeError) -> DataError:
+    return DataError(f"{what} {path} is not UTF-8 text ({exc.reason})")
 
 
 def read_exact(fh: BinaryIO, size: int, error: str) -> bytes:
@@ -333,7 +341,10 @@ def load_graph(node_file: Path | str, edge_file: Path | str) -> Graph:
         raise DataError(f"node ids must be contiguous 0..{p - 1}")
     nodes = [by_id[j] for j in range(p)]
 
-    text = edge_path.read_text(encoding="utf-8")
+    try:
+        text = edge_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("edge file", edge_path, exc) from None
     edges = _read_edge_table(text)
     if (
         edges is None

@@ -449,6 +449,8 @@ class PlantedDatasetSpec:
             raise DataError("signal and noise must be probabilities")
         if not (0 < self.capable_fraction < 1):
             raise DataError("capable fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
 
 
 def generate_planted_dataset(spec: PlantedDatasetSpec) -> tuple[Graph, str]:

@@ -445,6 +445,8 @@ class TrainConfig:
             raise DataError("classification threshold must be in [0, 1]")
         if self.fanout is not None and not self.fanout >= 1:
             raise DataError("fanout must be >= 1")
+        if not self.seed >= 0:
+            raise DataError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -204,11 +204,30 @@ def test_train_unreadable_node_file_exit_2(planted_dir, tmp_path, capsys, how):
     assert capsys.readouterr().err.startswith("data error:")
 
 
+@pytest.mark.parametrize("name, what", [("nodes.tsv", "node file"), ("edges.tsv", "edge file")])
+def test_train_not_utf8_error_names_the_file(planted_dir, tmp_path, capsys, name, what):
+    _unreadable(planted_dir / name, "not-utf8")
+    assert _train(planted_dir, tmp_path / "run", "--method", "plain") == 2
+    assert capsys.readouterr().err.startswith(f"data error: {what} {planted_dir / name} is not UTF-8 text")
+    assert not (tmp_path / "run").exists()
+
+
+def test_gen_planted_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["gen-planted", "--manufacturers", "20", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: seed must be >= 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, extra", [
     ("train", ["--method", "sf", "--encoder", "gcn", "--fanout", "2"]),  # refused before the features
     ("train", ["--target", "nope"]),
     ("train", ["--nodes", "missing.tsv"]),
     ("sweep", ["--nodes", "missing.tsv"]),
+    ("train", ["--seed", "-1"]),
+    ("train", ["--repeats", "0"]),
+    ("train", ["--task", "link", "--method", "plain", "--repeats", "0"]),
+    ("sweep", ["--seed", "-1"]),
 ])
 def test_failed_run_writes_no_output_dir(planted_dir, tmp_path, capsys, command, extra):
     out = tmp_path / "out"

@@ -39,11 +39,12 @@ from conftest import small_mixed_graph
 
 # ---------------------------------------------------------------------------
 # Oracles: the straightforward single-block loops the library's buffered,
-# row-blocked versions must reproduce bit for bit. FA features are chaotic
-# in float rounding (t-SNE turns a one-ulp input difference into O(1) within
-# 80 iterations), so a speed-up of these loops has to keep every operation
-# and its order. The t-SNE oracles use no BLAS call, as the library does not:
-# BLAS results change with its thread count.
+# row-blocked versions must reproduce. t-SNE is chaotic in float rounding
+# (it turns a one-ulp input difference into O(1) within 80 iterations), so a
+# speed-up of its loops has to keep every operation and its order: its
+# oracles are matched bit for bit and use no BLAS call, as the library does
+# not (BLAS results change with its thread count). The paragraph vectors are
+# stable, so their oracle, a plain per-pair loop, is matched to 1e-12.
 # ---------------------------------------------------------------------------
 
 
@@ -56,7 +57,10 @@ def _sigmoid_oracle(z):
     return out
 
 
-def _pv_oracle(paragraphs, dim, epochs, learning_rate=0.025, negatives=5, seed=0):
+def _pv_pair_loop(paragraphs, dim, epochs, learning_rate=0.025, negatives=5, seed=0):
+    """PV-DBOW one (paragraph, word) pair at a time: every pair of a visit is
+    scored against the visit's starting vectors, each word takes the sum of
+    its pairs' steps and the paragraph the mean over its positive tokens."""
     keys = list(paragraphs)
     token_lists = [list(paragraphs[k]) for k in keys]
     vocab = sorted({tok for toks in token_lists for tok in toks})
@@ -87,15 +91,16 @@ def _pv_oracle(paragraphs, dim, epochs, learning_rate=0.025, negatives=5, seed=0
             visit += 1
             pos = encoded[row]
             neg = rng.choice(len(vocab), size=(pos.size, negatives), p=noise)
-            keep = neg != pos[:, None]
-            targets = np.concatenate([pos, neg[keep]])
-            labels = np.concatenate([np.ones(pos.size), np.zeros(int(keep.sum()))])
-            v = vectors[row]
-            u = word_out[targets]
-            g = alpha * (labels - _sigmoid_oracle(u @ v))
-            dv = g @ u
-            np.add.at(word_out, targets, g[:, None] * v[None, :])
-            vectors[row] = v + dv
+            v = vectors[row].copy()
+            u = word_out.copy()
+            dv = np.zeros(dim)
+            for k, word in enumerate(pos):
+                pairs = [(word, 1.0)] + [(noise_word, 0.0) for noise_word in neg[k] if noise_word != word]
+                for target, label in pairs:
+                    g = alpha * (label - _sigmoid_oracle(np.array([u[target] @ v]))[0])
+                    np.add.at(word_out, [target], g * v)
+                    dv += g * u[target]
+            vectors[row] = v + dv / pos.size
     return vectors
 
 
@@ -297,7 +302,7 @@ def test_sigmoid_matches_oracle_bitwise():
     assert _sigmoid(z[:12].reshape(3, 4)).shape == (3, 4)
 
 
-def test_doc2vec_matches_oracle_bitwise():
+def test_doc2vec_matches_pair_loop():
     # empty paragraphs, repeated tokens, and a 3-word vocabulary so that most
     # noise draws collide with their positive and are dropped
     paragraphs = {
@@ -310,10 +315,56 @@ def test_doc2vec_matches_oracle_bitwise():
     }
     for seed in (0, 3):
         got = train_paragraph_vectors(paragraphs, dim=7, epochs=6, negatives=4, seed=seed)
-        assert np.array_equal(got, _pv_oracle(paragraphs, dim=7, epochs=6, negatives=4, seed=seed))
+        expected = _pv_pair_loop(paragraphs, dim=7, epochs=6, negatives=4, seed=seed)
+        assert np.abs(got - expected).max() < 1e-12
     corpus, _ = _cluster_corpus(seed=2)
     got = train_paragraph_vectors(corpus, dim=16, epochs=5, seed=8)
-    assert np.array_equal(got, _pv_oracle(corpus, dim=16, epochs=5, seed=8))
+    assert np.abs(got - _pv_pair_loop(corpus, dim=16, epochs=5, seed=8)).max() < 1e-12
+
+
+def _tagged_corpus(n=60, seed=0):
+    """Long paragraphs in which a cluster tag repeats, as neighbour names do."""
+    rng = np.random.default_rng(seed)
+    paragraphs = {}
+    for j in range(n):
+        tag = f"cluster{j % 3}"
+        words = [tag] * 30 + [f"w{k}" for k in rng.integers(0, 40, size=60)]
+        paragraphs[j] = [words[k] for k in rng.permutation(len(words))]
+    return paragraphs
+
+
+def test_doc2vec_row_norms_stay_bounded():
+    f1 = train_paragraph_vectors(_tagged_corpus(), dim=32, epochs=40, seed=0)
+    assert np.linalg.norm(f1, axis=1).max() < 5.0
+
+
+def test_doc2vec_learning_rate_nudge_moves_output_little():
+    corpus = _tagged_corpus(seed=1)
+    a = train_paragraph_vectors(corpus, dim=32, epochs=40, learning_rate=0.025, seed=2)
+    b = train_paragraph_vectors(corpus, dim=32, epochs=40, learning_rate=0.025 * (1 + 1e-12), seed=2)
+    assert np.abs(a - b).max() < 1e-9
+
+
+def test_doc2vec_does_not_depend_on_draw_block_size(monkeypatch):
+    corpus = _tagged_corpus(n=25, seed=3)
+    corpus[7] = []
+    expected = train_paragraph_vectors(corpus, dim=8, epochs=3, seed=4)
+    n_words = len({tok for toks in corpus.values() for tok in toks})
+    for visits in (1, 2, 7):  # visits per block
+        monkeypatch.setattr(features, "_COUNT_CELLS", visits * n_words)
+        assert np.array_equal(train_paragraph_vectors(corpus, dim=8, epochs=3, seed=4), expected)
+
+
+def test_noise_draws_match_inverse_cdf_search():
+    rng = np.random.default_rng(0)
+    for size in (1, 3, 128, 3000):
+        weights = rng.random(size) ** 6  # many small entries crowd some buckets
+        cdf = np.cumsum(weights / weights.sum())
+        cdf /= cdf[-1]
+        u = np.concatenate([rng.random(20000), cdf[:-1], np.nextafter(cdf[:-1], 0.0),
+                            np.arange(1024) / 1024, [np.nextafter(1.0, 0.0)]])
+        u = u[u < 1.0].reshape(-1, 1)
+        assert np.array_equal(features._inverse_cdf(cdf)(u), cdf.searchsorted(u, side="right"))
 
 
 def _mean_cosines(f1, membership):
@@ -413,6 +464,17 @@ def test_tsne_matches_oracle_bitwise():
             assert np.array_equal(reduce_to_plane(x, iterations=260, seed=2), expected)
 
 
+def test_tsne_row_pieces_match_oracle_bitwise(monkeypatch):
+    x = _gaussian_blobs(n_per=14, seed=8)
+    perplexity = default_perplexity(x.shape[0])
+    expected = _tsne_oracle(x, perplexity, iterations=110, seed=2)
+    for piece_rows in (1, 5, 16):
+        monkeypatch.setattr(features, "_PIECE_ROWS", piece_rows)
+        for parts in (1, 3):
+            with _forced_row_blocks(parts):
+                assert np.array_equal(reduce_to_plane(x, iterations=110, seed=2), expected)
+
+
 def test_row_blocks_partition_rows():
     for n, parts in ((42, 1), (42, 2), (43, 3), (5, 8)):
         blocks = features._row_blocks(n, parts)
@@ -435,6 +497,21 @@ def test_tsne_peak_memory_below_three_and_a_half_matrices():
         finally:
             tracemalloc.stop()
     assert peak < 3.5 * n * n * 8
+
+
+def test_tsne_peak_memory_below_two_matrices():
+    # P alone: the distances become the affinities in place, and the kernel
+    # and force terms are worked in pieces through small per-thread buffers
+    x = _gaussian_blobs(n_per=200, d=8, seed=9)  # n = 600
+    n = x.shape[0]
+    with _forced_row_blocks(2):
+        tracemalloc.start()
+        try:
+            reduce_to_plane(x, iterations=105, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2.0 * n * n * 8
 
 
 def test_tsne_perplexity_infeasible():

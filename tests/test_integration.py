@@ -44,7 +44,7 @@ def test_corpus_to_masked_task_to_training():
     assert int(task.labels.sum()) == 20  # every third shop
     pipeline = PipelineConfig(
         seng=SengConfig(oversampling_scale=1.0),
-        embedding=EmbeddingConfig(dim=16, epochs=8),
+        embedding=EmbeddingConfig(dim=16, epochs=40),
         tsne=TsneConfig(iterations=120),
         train=TrainConfig(max_epochs=60, patience=20, d_hidden=8),
     )
