@@ -82,26 +82,6 @@ def build_neighbor_paragraphs(graph: Graph | AugmentedGraph) -> dict[int, list[s
     return paragraphs
 
 
-def _inverse_cdf(cdf: np.ndarray):
-    """`u -> cdf.searchsorted(u, side="right")` for u in [0, 1), through a
-    table of 2^k equal buckets. A bucket whose interior holds no entry of
-    `cdf` gives its answer directly; only draws in the other buckets are
-    searched. u * 2^k is exact, so the answers are exactly the search's."""
-    size = 1 << min(16, (64 * cdf.size).bit_length())
-    edges = np.arange(size + 1) / size
-    low = cdf.searchsorted(edges[:-1], side="right")  # entries <= the bucket's lower edge
-    mixed = cdf.searchsorted(edges[1:], side="left") != low  # an entry inside the bucket
-
-    def draw(u: np.ndarray) -> np.ndarray:
-        bucket = (u * size).astype(np.intp)
-        out = low[bucket]
-        search = np.flatnonzero(mixed[bucket])
-        out.flat[search] = cdf.searchsorted(u.flat[search], side="right")
-        return out
-
-    return draw
-
-
 def train_paragraph_vectors(
     paragraphs: Mapping[int, Sequence[str]],
     dim: int = 64,
@@ -125,9 +105,9 @@ def train_paragraph_vectors(
     skipped and map to the zero vector.
 
     Noise words are drawn by inverse-CDF search over the unigram^0.75 table
-    (the algorithm of `Generator.choice(p=...)`, see `_inverse_cdf`), one
-    block of visits' draws at a time. The generator yields its stream in
-    order, so the output does not depend on the block size.
+    (the algorithm of `Generator.choice(p=...)`), one block of visits'
+    draws at a time. The generator yields its stream in order, so the
+    output does not depend on the block size.
     """
     if dim < 2:
         raise DataError("embedding width must be >= 2")
@@ -149,7 +129,6 @@ def train_paragraph_vectors(
     noise /= noise.sum()
     noise_cdf = noise.cumsum()
     noise_cdf /= noise_cdf[-1]
-    draw = _inverse_cdf(noise_cdf)
 
     rng = np.random.default_rng(seed)
     vectors = rng.uniform(-0.5 / dim, 0.5 / dim, size=(len(keys), dim))
@@ -170,7 +149,7 @@ def train_paragraph_vectors(
     min_alpha = learning_rate * 1e-4
     for epoch in range(epochs):
         for first, rows, pos, owner in blocks:
-            neg = draw(rng.random((pos.size, negatives)))
+            neg = noise_cdf.searchsorted(rng.random((pos.size, negatives)), side="right")
             keep = neg != pos[:, None]  # a noise word equal to its token is dropped
             cells = len(rows) * n_words
             positive = np.bincount(owner + pos, minlength=cells)

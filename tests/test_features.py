@@ -355,18 +355,6 @@ def test_doc2vec_does_not_depend_on_draw_block_size(monkeypatch):
         assert np.array_equal(train_paragraph_vectors(corpus, dim=8, epochs=3, seed=4), expected)
 
 
-def test_noise_draws_match_inverse_cdf_search():
-    rng = np.random.default_rng(0)
-    for size in (1, 3, 128, 3000):
-        weights = rng.random(size) ** 6  # many small entries crowd some buckets
-        cdf = np.cumsum(weights / weights.sum())
-        cdf /= cdf[-1]
-        u = np.concatenate([rng.random(20000), cdf[:-1], np.nextafter(cdf[:-1], 0.0),
-                            np.arange(1024) / 1024, [np.nextafter(1.0, 0.0)]])
-        u = u[u < 1.0].reshape(-1, 1)
-        assert np.array_equal(features._inverse_cdf(cdf)(u), cdf.searchsorted(u, side="right"))
-
-
 def _mean_cosines(f1, membership):
     norms = np.linalg.norm(f1, axis=1, keepdims=True)
     unit = f1 / np.maximum(norms, 1e-12)
