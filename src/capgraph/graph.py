@@ -12,11 +12,12 @@ classification task, class-imbalance statistics, and stratified splits.
 
 from __future__ import annotations
 
-import io
 import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
+from operator import attrgetter, is_
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
@@ -105,25 +106,35 @@ class Graph:
     def __init__(self, nodes: Sequence[NodeKind], edges: Iterable[tuple[int, int]] | np.ndarray):
         self.nodes: tuple[NodeKind, ...] = tuple(nodes)
         p = len(self.nodes)
+        kinds = map(attrgetter("kind"), self.nodes)
         self.is_manufacturer = _frozen(
-            np.fromiter((node.is_manufacturer for node in self.nodes), dtype=bool, count=p)
+            np.fromiter(map(is_, kinds, repeat(Kind.MANUFACTURER)), dtype=bool, count=p)
         )
         pairs = edges if isinstance(edges, np.ndarray) else np.array(list(edges), dtype=np.int64)
         pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
         _check_edges(pairs, self.is_manufacturer)
-        # each undirected edge once as the key lo * p + hi, sorted and deduplicated
+        # each undirected edge once as the key lo * p + hi, sorted and deduplicated;
+        # the files write_graph_files writes hold them so already
         lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
-        keys = np.sort(lo * p + hi)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        lo, hi = np.divmod(keys, p)
-        # both directions as row-major keys row * p + col: sorted, they are the CSR
-        rows, cols = np.divmod(np.sort(np.concatenate([keys, hi * p + lo])), p)
-        self.indices = _frozen(cols)
-        self.indptr = _frozen(np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=p))]))
+        keys = lo * p + hi
+        if not (np.diff(keys) > 0).all():
+            keys = np.sort(keys)
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            lo = keys // p
+            hi = keys - lo * p
+        # CSR: row r lists the lo of each edge (lo, r), then the hi of each
+        # edge (r, hi), both ascending. The keys give the second list in
+        # order already; the first comes from sorting the reversed keys.
+        below, above = np.bincount(hi, minlength=p), np.bincount(lo, minlength=p)
+        lower = np.sort(hi * p + lo)  # r * p + lo for each edge (lo, r)
+        is_lower = np.repeat(np.tile([True, False], p), np.column_stack([below, above]).ravel())
+        indices = np.empty(2 * keys.size, dtype=np.int64)
+        indices[is_lower] = lower - lower // p * p
+        indices[~is_lower] = hi
+        self.indices = _frozen(indices)
+        self.indptr = _frozen(np.concatenate([[0], np.cumsum(below + above)]))
         self.num_edges: int = int(keys.size)
-        self._ids: dict[tuple[bool, str], int] = {}
-        for j, node in enumerate(self.nodes):
-            self._ids.setdefault((node.is_manufacturer, node.name), j)
+        self._ids: dict[tuple[bool, str], int] | None = None
         self._neighbors: tuple[tuple[int, ...], ...] | None = None
         self._blocks: tuple[np.ndarray, ...] | None = None
 
@@ -173,10 +184,17 @@ class Graph:
         return ns[~self.is_manufacturer[ns]].tolist()
 
     def find_service(self, name: str) -> int | None:
-        return self._ids.get((False, name))
+        return self._find(False, name)
 
     def find_manufacturer(self, name: str) -> int | None:
-        return self._ids.get((True, name))
+        return self._find(True, name)
+
+    def _find(self, is_manufacturer: bool, name: str) -> int | None:
+        """The first node of that kind and name; the index is built on first use."""
+        if self._ids is None:
+            keys = list(zip(self.is_manufacturer.tolist(), map(attrgetter("name"), self.nodes)))
+            self._ids = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # the first one wins
+        return self._ids.get((is_manufacturer, name))
 
     def dense_adjacency(self) -> np.ndarray:
         """Symmetric 0/1 adjacency matrix with zero diagonal, float64."""
@@ -242,14 +260,17 @@ def _check_edges(pairs: np.ndarray, is_manufacturer: np.ndarray) -> None:
     manufacturers."""
     p = is_manufacturer.size
     src, dst = pairs[:, 0], pairs[:, 1]
+    if not pairs.size or (
+        pairs.min() >= 0 and pairs.max() < p
+        and not (src == dst).any()
+        and not (is_manufacturer[src] & is_manufacturer[dst]).any()
+    ):
+        return
     dangling = (src < 0) | (src >= p) | (dst < 0) | (dst >= p)
     loop = ~dangling & (src == dst)
     man = np.append(is_manufacturer, False)  # index p: stands in for dangling ends
     both = man[np.where(dangling, p, src)] & man[np.where(dangling, p, dst)]
-    bad = dangling | loop | both
-    if not bad.any():
-        return
-    k = int(np.argmax(bad))
+    k = int(np.argmax(dangling | loop | both))
     s, d = int(src[k]), int(dst[k])
     if dangling[k]:
         raise DataError(f"dangling endpoint in edge ({s}, {d}); node count is {p}")
@@ -270,6 +291,7 @@ def init_type_codes(graph: Graph) -> np.ndarray:
 
 _KIND_TOKENS = {k.value: k for k in Kind}
 _CATEGORY_TOKENS = {c.value: c for c in ServiceCategory}
+_TAB, _NEWLINE, _RETURN, _SPACE, _ZERO = b"\t\n\r 0"
 
 
 def read_records(path: Path | str, fields: int, what: str) -> Iterator[tuple[int, list[str]]]:
@@ -326,8 +348,80 @@ def _parse_node(parts: list[str], lineno: int) -> tuple[int, NodeKind]:
 
 
 def load_graph(node_file: Path | str, edge_file: Path | str) -> Graph:
-    """Load a graph from node and edge files; duplicate edge lines collapse."""
+    """Load a graph from node and edge files; duplicate edge lines collapse.
+
+    Files in the form `write_graph_files` writes take a few whole-file
+    passes; any other file goes through the per-line parsers, which accept
+    the same files and name the line of the first fault."""
     node_path, edge_path = Path(node_file), Path(edge_file)
+    nodes = _node_table(node_path)
+    if nodes is None:
+        nodes = _parse_node_lines(node_path)
+    edges = _edge_table(edge_path.read_bytes())
+    if edges is None:
+        return Graph(nodes, _parse_edge_lines(_read_text(edge_path, "edge file"), len(nodes)))
+    try:
+        return Graph(nodes, edges)
+    except DataError:  # names the line of a dangling endpoint or a self-loop
+        _parse_edge_lines(_read_text(edge_path, "edge file"), len(nodes))
+        raise
+
+
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(what, path, exc) from None
+
+
+def _columns(path: Path, fields: int) -> list[list[str]] | None:
+    """The fields of a UTF-8 file column by column, or None unless every line
+    holds exactly `fields` tab-separated fields (so no line is blank); the
+    per-line reader `read_records` then decides."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        return None
+    b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(b == _NEWLINE)
+    if not text.endswith("\n"):
+        ends = np.append(ends, b.size)
+    tabs = np.flatnonzero(b == _TAB)
+    if not ends.size or tabs.size != (fields - 1) * ends.size:
+        return None
+    tabs = tabs.reshape(ends.size, fields - 1)
+    if (tabs[:, -1] > ends).any() or (tabs[1:, 0] < ends[:-1]).any():
+        return None
+    cells = text.replace("\n", "\t").split("\t")
+    return [cells[k : fields * ends.size : fields] for k in range(fields)]
+
+
+# (kind token, category token) -> (kind, category) of every valid node line
+_NODE_TYPES = {
+    (Kind.MANUFACTURER.value, "-"): (Kind.MANUFACTURER, None),
+    **{(Kind.SERVICE.value, c.value): (Kind.SERVICE, c) for c in ServiceCategory},
+}
+
+
+def _node_table(node_path: Path) -> list[NodeKind] | None:
+    """The nodes of a node file whose lines list ids 0, 1, ... in order, each
+    with a valid kind and category; None for any other file."""
+    columns = _columns(node_path, 4)
+    if columns is None:
+        return None
+    ids, kinds, categories, names = columns
+    types = list(map(_NODE_TYPES.get, zip(kinds, categories)))
+    if ids != list(map(str, range(len(ids)))) or None in types:
+        return None
+    # _columns left no tab or newline in a name, and _NODE_TYPES holds only
+    # valid pairs, so these nodes are made without NodeKind's per-node checks
+    nodes = list(map(object.__new__, repeat(NodeKind, len(names))))
+    for node, (kind, category), name in zip(nodes, types, names):
+        object.__setattr__(node, "__dict__", {"kind": kind, "category": category, "name": name})
+    return nodes
+
+
+def _parse_node_lines(node_path: Path) -> list[NodeKind]:
     by_id: dict[int, NodeKind] = {}
     for lineno, parts in read_records(node_path, 4, "node file"):
         node_id, node = _parse_node(parts, lineno)
@@ -339,32 +433,64 @@ def load_graph(node_file: Path | str, edge_file: Path | str) -> Graph:
     p = len(by_id)
     if sorted(by_id) != list(range(p)):
         raise DataError(f"node ids must be contiguous 0..{p - 1}")
-    nodes = [by_id[j] for j in range(p)]
-
-    try:
-        text = edge_path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8("edge file", edge_path, exc) from None
-    edges = _read_edge_table(text)
-    if (
-        edges is None
-        or edges.shape[1] != 2
-        or ((edges < 0) | (edges >= p)).any()
-        or (edges[:, 0] == edges[:, 1]).any()
-    ):
-        edges = _parse_edge_lines(text, p)  # slow, but names the offending line
-    return Graph(nodes, edges)
+    return [by_id[j] for j in range(p)]
 
 
-def _read_edge_table(text: str) -> np.ndarray | None:
-    """All edge lines as one integer table, or None where numpy's reader
-    rejects the text; `_parse_edge_lines` then finds the offending line."""
-    if not text.strip():
-        return np.empty((0, 2), dtype=np.int64)
-    try:
-        return np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:
+_CHUNK_BYTES = 1 << 18
+_RUN_MASKS = np.array([2**64 - 2 ** (64 - 8 * n) for n in range(9)], dtype=np.uint64)  # the top n bytes
+
+
+def _edge_table(data: bytes) -> np.ndarray | None:
+    """The edges of an edge file's bytes as an (m, 2) int64 array, parsed in
+    chunks of whole lines. None unless every line is blank or holds two runs
+    of at most 8 ASCII digits between spaces and tabs; `_parse_edge_lines`
+    then decides and names the line. CR ends a line too: CRLF adds a blank
+    line, which changes no edge."""
+    # 8 newlines in front: every run has 8 bytes before its end, and every
+    # chunk a newline before its first byte; the newline behind ends every line
+    raw = b"\n" * 8 + data + b"\n"
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    # at_byte[i]: the 8 bytes raw[i : i + 8] as a little-endian word
+    at_byte = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
+    pieces = []
+    begin = 8
+    while begin < len(raw):
+        end = raw.find(b"\n", begin + _CHUNK_BYTES) + 1 or len(raw)
+        edges = _edge_chunk(buf[begin - 1 : end], at_byte, begin - 1)
+        if edges is None:
+            return None
+        pieces.append(edges)
+        begin = end
+    return np.concatenate(pieces)
+
+
+def _edge_chunk(b: np.ndarray, at_byte: np.ndarray, offset: int) -> np.ndarray | None:
+    """`_edge_table` for whole lines `b`, which start and end with a newline
+    and start at `offset` in the buffer that `at_byte` reads."""
+    digit = b - _ZERO < 10  # uint8 arithmetic wraps the bytes below '0' above 9
+    newline = (b == _NEWLINE) | (b == _RETURN)
+    if not (digit | newline | (b == _TAB) | (b == _SPACE)).all():
         return None
+    # digit runs: `digit` changes at a run's first byte and at the byte after it
+    first, after = (np.flatnonzero(digit[1:] != digit[:-1]) + 1).reshape(-1, 2).T
+    lengths = after - first
+    if first.size % 2 or (lengths > 8).any():
+        return None
+    # a line's two runs have no newline between them, and a newline follows the second
+    gap_newline = newline[after[:-1]]  # the gap's first byte
+    wide = np.flatnonzero(first[1:] - after[:-1] > 1)
+    if wide.size:
+        ends = np.flatnonzero(newline)
+        gap_newline[wide] = np.searchsorted(ends, after[wide]) < np.searchsorted(ends, first[wide + 1])
+    if gap_newline[0::2].any() or not gap_newline[1::2].all():
+        return None
+    # each run as the word of the 8 bytes that end with it, the bytes before it
+    # cleared, turned into its value by SWAR digit pairing
+    words = at_byte[offset + after - 8] & _RUN_MASKS[lengths]
+    words = (words & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+    words = (words & 0x00FF00FF00FF00FF) * 6553601 >> 16
+    words = (words & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+    return words.astype(np.int64).reshape(-1, 2)
 
 
 def _parse_edge_lines(text: str, p: int) -> np.ndarray:
@@ -387,15 +513,40 @@ def _parse_edge_lines(text: str, p: int) -> np.ndarray:
     return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
+_EDGE_ROWS = 8192
+
+
 def write_graph_files(graph: Graph, node_file: Path | str, edge_file: Path | str) -> None:
-    """Write canonical node/edge files (edges sorted, src < dst)."""
-    node_lines = []
-    for j, node in enumerate(graph.nodes):
-        category = "-" if node.category is None else node.category.value
-        node_lines.append(f"{j}\t{node.kind.value}\t{category}\t{node.name}\n")
-    Path(node_file).write_text("".join(node_lines), encoding="utf-8")
-    edge_lines = [f"{u}\t{v}\n" for u, v in graph.edge_array().tolist()]
-    Path(edge_file).write_text("".join(edge_lines), encoding="utf-8")
+    """Write canonical node/edge files (edges sorted, src < dst), every
+    line ending in a newline."""
+    middles = {category: f"\t{kind}\t{token}\t" for (kind, token), (_, category) in _NODE_TYPES.items()}
+    Path(node_file).write_bytes("".join([
+        f"{j}{middles[node.category]}{node.name}\n" for j, node in enumerate(graph.nodes)
+    ]).encode("utf-8"))
+    src, src_keep = _id_fields(graph.num_nodes, _TAB)
+    dst, dst_keep = _id_fields(graph.num_nodes, _NEWLINE)
+    edges = graph.edge_array()
+    with Path(edge_file).open("wb") as fh:
+        for at in range(0, len(edges), _EDGE_ROWS):
+            u, v = edges[at : at + _EDGE_ROWS].T
+            line = np.column_stack([src[u], dst[v]]).view(np.uint8)
+            keep = np.column_stack([src_keep[u], dst_keep[v]]).view(bool)
+            fh.write(line[keep].tobytes())
+
+
+def _id_fields(p: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per id 0..p-1 one void scalar: its digits, zero-padded to the width of
+    the widest id, and then the byte `end`. Also, in the same layout, the
+    mask of the bytes that `f"{id}"` and `end` take."""
+    width = len(str(max(p - 1, 0)))
+    ids = np.arange(p)[:, None]
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    field = np.full((p, width + 1), end, dtype=np.uint8)
+    field[:, :width] = ids // powers % 10 + _ZERO
+    keep = np.ones((p, width + 1), dtype=bool)
+    keep[:, :width] = (ids >= powers) | (powers == 1)
+    void = np.dtype((np.void, width + 1))
+    return field.view(void).ravel(), keep.view(void).ravel()
 
 
 def load_corpus(corpus_file: Path | str) -> dict[str, str]:
@@ -652,10 +803,24 @@ def write_assignment(path: Path | str, split: SplitAssignment, labels: np.ndarra
 
 def load_assignment(path: Path | str, num_nodes: int, seed: int) -> tuple[np.ndarray, SplitAssignment]:
     """Read a `write_assignment` file for a graph of `num_nodes` nodes: the
-    labels (0 or 1; 0 for an unlisted node) and the split of the listed nodes."""
-    labels = np.zeros(num_nodes, dtype=np.int64)
-    assignment: dict[int, Split] = {}
+    labels (0 or 1; 0 for an unlisted node) and the split of the listed nodes.
+    A node listed twice is a DataError."""
     splits = {s.value: s for s in Split}
+    labels = np.zeros(num_nodes, dtype=np.int64)
+    columns = _columns(Path(path), 3)
+    if columns is not None:
+        ids, names, raw_labels = columns
+        text = "".join(raw_labels)
+        if (
+            len(ids) <= num_nodes
+            and ids == list(map(str, range(len(ids))))
+            and set(names) <= splits.keys()
+            and text.strip("01") == ""
+            and len(text) == len(ids)
+        ):
+            labels[: len(ids)] = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - _ZERO
+            return labels, SplitAssignment(dict(enumerate(map(splits.__getitem__, names))), seed)
+    assignment: dict[int, Split] = {}
     for lineno, (raw_id, split_name, raw_label) in read_records(path, 3, "assignment file"):
         try:
             j, label = int(raw_id), int(raw_label)
@@ -667,6 +832,8 @@ def load_assignment(path: Path | str, num_nodes: int, seed: int) -> tuple[np.nda
             raise DataError(f"assignment.tsv line {lineno}: node id {j} out of range")
         if split_name not in splits:
             raise DataError(f"assignment.tsv line {lineno}: unknown split {split_name!r}")
+        if j in assignment:
+            raise DataError(f"assignment.tsv line {lineno}: duplicate node id {j}")
         assignment[j] = splits[split_name]
         labels[j] = label
     return labels, SplitAssignment(assignment, seed)

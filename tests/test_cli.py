@@ -407,6 +407,11 @@ def test_eval_unreadable_run_file_exit_2(trained_run, tmp_path, capsys, name, ho
     assert capsys.readouterr().err.startswith("data error:")
 
 
+def test_eval_assignment_listing_a_node_twice_exit_2(trained_run, tmp_path, capsys):
+    assert _eval_damaged(trained_run, tmp_path, "assignment.tsv", lambda b: b"0\ttest\t1\n" + b) == 2
+    assert "assignment.tsv line 2: duplicate node id 0" in capsys.readouterr().err
+
+
 def test_eval_out_of_range_assignment_exit_2(trained_run, tmp_path, capsys):
     assert _eval_damaged(trained_run, tmp_path, "assignment.tsv", lambda b: b"99999\ttrain\t1\n" + b) == 2
     assert "out of range" in capsys.readouterr().err

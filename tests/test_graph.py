@@ -12,9 +12,13 @@ from capgraph.graph import (
     Graph,
     ServiceCategory,
     Split,
+    _edge_table,
+    _node_table,
+    _parse_edge_lines,
     build_from_corpus,
     compute_imbalance,
     init_type_codes,
+    load_assignment,
     load_graph,
     manufacturer,
     mask_target,
@@ -23,6 +27,7 @@ from capgraph.graph import (
     service,
     stratified_split,
     tokenize,
+    write_assignment,
     write_graph_files,
 )
 
@@ -98,6 +103,14 @@ def test_read_records_skips_blank_lines_and_keeps_the_rest_of_the_line(tmp_path)
         next(records)
 
 
+def test_load_graph_reports_the_first_bad_node_line_before_a_later_decode_error(tmp_path):
+    lines = "0\twidget\t-\ta\n" + "".join(f"{j}\tservice\tprocess\ts{j}\n" for j in range(1, 5000))
+    nodes = tmp_path / "n.tsv"
+    nodes.write_bytes(lines.encode() + b"\xff\n")
+    with pytest.raises(DataError, match="node file line 1: unknown kind token 'widget'"):
+        load_graph(nodes, _write(tmp_path, "e.tsv", ""))
+
+
 def test_load_graph_extra_tab_lands_in_the_name(tmp_path):
     nodes = _write(tmp_path, "n.tsv", "0\tmanufacturer\t-\ta\tb\n")
     with pytest.raises(DataError, match="contains tab"):
@@ -168,6 +181,150 @@ def test_write_then_load_round_trip(tmp_path):
     write_graph_files(g, tmp_path / "n.tsv", tmp_path / "e.tsv")
     g2 = load_graph(tmp_path / "n.tsv", tmp_path / "e.tsv")
     assert g2 == g
+
+
+# ---------------------------------------------------------------------------
+# The whole-file readers and writers against per-line code.
+# ---------------------------------------------------------------------------
+
+
+def _random_graph(p: int, m: int) -> Graph:
+    """p nodes of mixed kinds and up to m random edges among them."""
+    rng = np.random.default_rng(p + m)
+    is_man = rng.random(p) < 0.5
+    categories = list(ServiceCategory)
+    nodes = [manufacturer(f"m{j}") if is_man[j] else service(f"s\u00fc {j}", categories[j % 4])
+             for j in range(p)]
+    pairs = rng.integers(0, p, size=(m, 2))
+    allowed = (pairs[:, 0] != pairs[:, 1]) & ~(is_man[pairs[:, 0]] & is_man[pairs[:, 1]])
+    return Graph(nodes, pairs[allowed])
+
+
+# ids cross 9/10, 99/100, 999/1000 and reach 4119; no edges; a single node
+@pytest.mark.parametrize("p, m", [(12, 40), (101, 600), (1001, 5000), (4120, 30000), (12, 0), (1, 0)])
+def test_write_graph_files_matches_per_line_formatting(tmp_path, p, m):
+    g = _random_graph(p, m)
+    nodes, edges = tmp_path / "n.tsv", tmp_path / "e.tsv"
+    write_graph_files(g, nodes, edges)
+    want_nodes = "".join(
+        f"{j}\t{node.kind.value}\t{'-' if node.category is None else node.category.value}\t{node.name}\n"
+        for j, node in enumerate(g.nodes))
+    assert nodes.read_bytes() == want_nodes.encode("utf-8")
+    assert edges.read_bytes() == "".join(f"{u}\t{v}\n" for u, v in g.edge_array().tolist()).encode()
+    g2 = load_graph(nodes, edges)
+    assert g2.nodes == g.nodes
+    assert np.array_equal(g2.indptr, g.indptr) and np.array_equal(g2.indices, g.indices)
+
+
+def test_write_assignment_matches_per_line_formatting(tmp_path):
+    labels = (np.random.default_rng(5).random(1500) < 0.2).astype(np.int64)
+    split = stratified_split(labels, seed=5)
+    path = tmp_path / "assignment.tsv"
+    write_assignment(path, split, labels)
+    want = "".join(f"{j}\t{split.assignment[j].value}\t{int(label)}\n" for j, label in enumerate(labels))
+    assert path.read_bytes() == want.encode()
+    got_labels, got_split = load_assignment(path, labels.size, 5)
+    assert np.array_equal(got_labels, labels)
+    assert got_split.assignment == split.assignment
+
+
+def _universal_newlines(raw: bytes) -> str:
+    return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+# The whole-file reader takes the plain forms; '+', '_' and full-width digits
+# reach the per-line parser, which reads what int() reads.
+@pytest.mark.parametrize("raw, plain", [
+    (b"0\t1\r\n1\t0\r\n", True),  # CRLF
+    (b"0\t1\r2\t3\r", True),  # lone CR
+    (b"\n  0 1  \n\n \t \n2\t\t3\n", True),  # blank and whitespace-only lines, runs of blanks
+    (b"0\t1\n2\t3", True),  # no final newline
+    (b"00000007\t10\n", True),  # leading zeros
+    (b"", True),
+    (b"\n \n", True),
+    (b"+1\t2\n", False),
+    (b"0\t1_0\n", False),
+    ("\uff10\t1\n".encode(), False),
+])
+def test_edge_readers_accept_the_same_files(tmp_path, raw, plain):
+    nodes = _write(tmp_path, "n.tsv", "".join(f"{j}\tservice\tprocess\ts{j}\n" for j in range(11)))
+    edges = tmp_path / "e.tsv"
+    edges.write_bytes(raw)
+    text = _universal_newlines(raw)
+    assert (_edge_table(raw) is not None) == plain
+    want = {(min(e), max(e)) for e in _parse_edge_lines(text, 11).tolist()}
+    assert load_graph(nodes, edges).edge_set() == want
+
+
+@pytest.mark.parametrize("raw", [
+    b"0\t1\t2\n",  # three fields
+    b"0\t1\n5\n",  # one field
+    b"0 1 2\n3\n",  # four runs on two lines
+    b"0\t1\n0\t11\n",  # dangling
+    b"0\t1\n123456789\t1\n",  # dangling, more than 8 digits
+    b"-1\t2\n",
+    b"0\t1\r\n\r\n3\t3\r\n",  # self-loop
+    b"0\tx\n",
+])
+def test_edge_readers_reject_the_same_files_with_the_same_message(tmp_path, raw):
+    nodes = _write(tmp_path, "n.tsv", "".join(f"{j}\tservice\tprocess\ts{j}\n" for j in range(11)))
+    edges = tmp_path / "e.tsv"
+    edges.write_bytes(raw)
+    with pytest.raises(DataError) as want:
+        _parse_edge_lines(_universal_newlines(raw), 11)
+    assert "line" in str(want.value)
+    with pytest.raises(DataError) as got:
+        load_graph(nodes, edges)
+    assert str(got.value) == str(want.value)
+
+
+def _split_lines(text: str) -> list[tuple[int, int]] | None:
+    """Each non-blank line's two int() fields, or None."""
+    edges = []
+    for line in _universal_newlines(text.encode()).split("\n"):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            src, dst = map(int, parts)
+        except ValueError:
+            return None
+        edges.append((src, dst))
+    return edges
+
+
+_EDGE_TOKENS = st.sampled_from(["0", "7", "10", "0042", "99999999", "123456789", "+1", "-1", "x"])
+_BLANKS = st.sampled_from(["", " ", "\t", "  ", " \t "])
+_EDGE_LINES = st.builds(lambda tokens, gap, edge: edge + gap.join(tokens) + edge,
+                        st.lists(_EDGE_TOKENS, max_size=4), _BLANKS.filter(bool), _BLANKS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.text(alphabet="0123456789 \t\r\n+-x", max_size=80),
+    st.builds("\n".join, st.lists(_EDGE_LINES, max_size=8)),
+))
+def test_edge_table_reads_the_plain_files_the_line_parser_reads(text):
+    table = _edge_table(text.encode())
+    want = _split_lines(text)
+    if table is not None:
+        assert table.tolist() == [list(e) for e in want]
+    else:
+        plain = re.compile(r"[0-9]{1,8}")
+        assert want is None or not all(plain.fullmatch(tok) for tok in text.split())
+
+
+@pytest.mark.parametrize("text", [
+    "1\tservice\tprocess\tb\n0\tmanufacturer\t-\ta\n",  # ids out of order
+    "0\tmanufacturer\t-\ta\r\n\r\n1\tservice\tprocess\tb\r\n",  # CRLF, a blank line
+    "0\tmanufacturer\t-\ta\n+1\tservice\tprocess\tb",  # '+', no final newline
+])
+def test_node_readers_accept_the_same_files(tmp_path, text):
+    nodes = tmp_path / "n.tsv"
+    nodes.write_bytes(text.encode())
+    g = load_graph(nodes, _write(tmp_path, "e.tsv", "0\t1\n"))
+    assert g.nodes == (manufacturer("a"), service("b", ServiceCategory.PROCESS))
+    assert _node_table(nodes) is None
 
 
 # ---------------------------------------------------------------------------
