@@ -167,10 +167,15 @@ def train_paragraph_vectors(
                 w = words[at]
                 v = vectors[row]
                 u = word_out[w]
-                step = base[at] - half[at] * np.tanh(0.5 * (u @ v))  # M_w times the mean pair step
+                step = u @ v  # becomes M_w times the mean pair step, in place
+                np.multiply(step, 0.5, out=step)
+                np.tanh(step, out=step)
+                np.multiply(step, half[at], out=step)
+                np.subtract(base[at], step, out=step)
                 dv = step @ u
-                word_out[w] = u + np.multiply.outer(step, v)  # each distinct word once
-                vectors[row] = v + dv / encoded[row].size
+                np.add(u, np.multiply.outer(step, v), out=u)
+                word_out[w] = u  # each distinct word once
+                np.add(v, dv / encoded[row].size, out=v)
     return vectors
 
 
@@ -356,15 +361,15 @@ def reduce_to_plane(
     """Exact t-SNE to two dimensions.
 
     Gradient descent with momentum (0.5, then 0.8 after iteration 250),
-    per-coordinate gain adaptation, and x12 early exaggeration for the
+    per-coordinate gain adaptation, and x12 early exaggeration ex for the
     first 100 iterations. P is the loop's only n x n buffer. Each iteration
-    forms the Student-t kernel 1 / (1 + |y_i - y_j|^2), from coordinate
-    differences, a piece of rows at a time in scratch that each worker
-    thread keeps: once for its sum, and once more for (P - Q / exaggeration)
-    * kernel, whose row sums and products with the coordinates give the
-    gradient (times 4 x exaggeration). Rows are worked in parallel blocks
-    with no BLAS call, so the output depends on the inputs and the seed
-    alone.
+    forms the Student-t kernel k = 1 / (1 + |y_i - y_j|^2), from coordinate
+    differences, once, a piece of rows at a time in scratch that each worker
+    thread keeps, and takes seven row sums of it in the same pass: sum k,
+    sum p k, sum k^2, and the last two times y_j. With Z = sum k the force
+    term (p - k / (Z ex)) k then gives the gradient (times 4 ex) from the
+    row sums alone. Rows are worked in parallel blocks with no BLAS call, so
+    the output depends on the inputs and the seed alone.
     """
     f1 = np.asarray(f1, dtype=np.float64)
     n = f1.shape[0]
@@ -376,50 +381,44 @@ def reduce_to_plane(
     update = np.zeros_like(y)
     gains = np.ones_like(y)
     num_rows = np.empty(n)
-    pq_rows = np.empty(n)
-    attraction = np.empty((2, n))  # sum_j pq_ij y_j, one row per coordinate
-    y0 = y1 = z = exaggeration = None  # set per iteration, read by the block steps
+    pk_rows = np.empty((3, n))  # sum_j p_ij k_ij times 1, y_j0, y_j1
+    kk_rows = np.empty((3, n))  # sum_j k_ij^2 times 1, y_j0, y_j1
+    y0 = y1 = None  # set per iteration, read by the block steps
     pieces = _row_pieces(n, 2)
 
-    def student_t(piece: slice, k: np.ndarray, scratch: np.ndarray) -> None:
-        # y_j - y_i, squared: a broadcast copy and an in-place subtraction
-        # beat one subtraction of two broadcast operands
-        scratch[...] = y0
-        np.subtract(scratch, y0[piece, None], out=scratch)
-        np.multiply(scratch, scratch, out=scratch)
-        np.add(scratch, 1.0, out=scratch)
-        k[...] = y1
-        np.subtract(k, y1[piece, None], out=k)
-        np.multiply(k, k, out=k)
-        np.add(scratch, k, out=k)
-        np.divide(1.0, k, out=k)
-        _zero_diagonal(k, piece.start)
-
-    def kernel(rows: slice) -> None:
-        for piece, k, scratch in pieces(rows):
-            student_t(piece, k, scratch)
-            num_rows[piece] = k.sum(axis=1)
+    def row_sums(f: np.ndarray, piece: slice, out: np.ndarray) -> None:
+        out[0, piece] = f.sum(axis=1)
+        np.einsum("ij,j->i", f, y0, out=out[1, piece])
+        np.einsum("ij,j->i", f, y1, out=out[2, piece])
 
     def forces(rows: slice) -> None:
         for piece, k, f in pieces(rows):
-            student_t(piece, k, f)
-            np.divide(k, z * exaggeration, out=f)  # q / exaggeration
-            np.maximum(f, _P_FLOOR / exaggeration, out=f)
-            np.subtract(p[piece], f, out=f)
-            np.multiply(f, k, out=f)
-            pq_rows[piece] = f.sum(axis=1)
-            np.einsum("ij,j->i", f, y0, out=attraction[0, piece])
-            np.einsum("ij,j->i", f, y1, out=attraction[1, piece])
+            # y_j - y_i, squared: a broadcast copy and an in-place subtraction
+            # beat one subtraction of two broadcast operands
+            f[...] = y0
+            np.subtract(f, y0[piece, None], out=f)
+            np.multiply(f, f, out=f)
+            np.add(f, 1.0, out=f)
+            k[...] = y1
+            np.subtract(k, y1[piece, None], out=k)
+            np.multiply(k, k, out=k)
+            np.add(f, k, out=k)
+            np.divide(1.0, k, out=k)
+            _zero_diagonal(k, piece.start)
+            num_rows[piece] = k.sum(axis=1)
+            np.multiply(p[piece], k, out=f)
+            row_sums(f, piece, pk_rows)
+            np.multiply(k, k, out=f)
+            row_sums(f, piece, kk_rows)
 
     with _each_block(n) as run:
         for it in range(iterations):
             exaggeration = _EXAGGERATION if it < _EXAGGERATION_ITERS else 1.0
             y0 = np.ascontiguousarray(y[:, 0])
             y1 = np.ascontiguousarray(y[:, 1])
-            run(kernel)
-            z = num_rows.sum()
             run(forces)
-            grad = (4.0 * exaggeration) * (pq_rows[:, None] * y - attraction.T)
+            pq = pk_rows - kk_rows / (num_rows.sum() * exaggeration)  # sum_j (p - q / ex) k times 1, y_j
+            grad = (4.0 * exaggeration) * (pq[0, :, None] * y - pq[1:].T)
 
             momentum = 0.5 if it < _MOMENTUM_SWITCH_ITER else 0.8
             same_sign = np.sign(grad) == np.sign(update)

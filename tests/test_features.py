@@ -40,11 +40,14 @@ from conftest import small_mixed_graph
 # ---------------------------------------------------------------------------
 # Oracles: the straightforward single-block loops the library's buffered,
 # row-blocked versions must reproduce. t-SNE is chaotic in float rounding
-# (it turns a one-ulp input difference into O(1) within 80 iterations), so a
-# speed-up of its loops has to keep every operation and its order: its
-# oracles are matched bit for bit and use no BLAS call, as the library does
-# not (BLAS results change with its thread count). The paragraph vectors are
-# stable, so their oracle, a plain per-pair loop, is matched to 1e-12.
+# (it turns a one-ulp input difference into O(1) within 80 iterations), so
+# its oracles keep the library's operations and their order, use no BLAS
+# call, as the library does not (BLAS results change with its thread count),
+# and are matched bit for bit over block counts and piece heights. A change
+# of that arithmetic changes the oracle with it; the gradient and KL tests
+# hold it to the exact gradient and to the earlier two-pass loop. The
+# paragraph vectors are stable, so their oracle, a plain per-pair loop, is
+# matched to 1e-12.
 # ---------------------------------------------------------------------------
 
 
@@ -157,19 +160,47 @@ def _kl_divergence(p, y):
     return float(np.sum(p * np.log(p / q)))
 
 
-def _tsne_oracle(f1, perplexity, iterations, learning_rate=200.0, seed=0):
+def _row_sums(f, y):
+    """Row sums of f, and of f times each coordinate of y_j: shape (3, n)."""
+    return np.stack([f.sum(axis=1)] + [np.einsum("ij,j->i", f, col) for col in y.T.copy()])
+
+
+def _one_pass_gradient(p, y, exaggeration):
+    # (exaggeration * P - Q) * num = (P * num - num^2 / Z) * exaggeration:
+    # seven row sums of one kernel, Z applied after them
+    num = _student_t_kernel_oracle(y)
+    pq = _row_sums(p * num, y) - _row_sums(num * num, y) / (num.sum(axis=1).sum() * exaggeration)
+    return (4.0 * exaggeration) * (pq[0, :, None] * y - pq[1:].T)
+
+
+def _two_pass_gradient(p, y, exaggeration):
+    # the earlier form: Z from a first kernel pass, then (P - Q / exaggeration)
+    # * num with Q / exaggeration floored at 1e-12 / exaggeration
+    num = _student_t_kernel_oracle(y)
+    z = num.sum(axis=1).sum()
+    pq = (p - np.maximum(num / (z * exaggeration), 1e-12 / exaggeration)) * num
+    attraction = np.stack([np.einsum("ij,j->i", pq, col) for col in y.T.copy()], axis=1)
+    return (4.0 * exaggeration) * (pq.sum(axis=1)[:, None] * y - attraction)
+
+
+def _exact_gradient(p, y, exaggeration):
+    """4 sum_j (exaggeration p_ij - q_ij) num_ij (y_i - y_j), in long double."""
+    p, y = p.astype(np.longdouble), y.astype(np.longdouble)
+    diff = y[:, None, :] - y[None, :, :]
+    num = 1 / (1 + (diff * diff).sum(axis=-1))
+    np.fill_diagonal(num, 0)
+    w = (exaggeration * p - num / num.sum()) * num
+    return 4 * (w[:, :, None] * diff).sum(axis=1)
+
+
+def _tsne_loop(f1, perplexity, iterations, gradient, learning_rate=200.0, seed=0):
     p = _joint_affinities_oracle(f1, perplexity)
     y = initial_embedding(f1.shape[0], seed)
     update = np.zeros_like(y)
     gains = np.ones_like(y)
     for it in range(iterations):
         exaggeration = 12.0 if it < 100 else 1.0
-        num = _student_t_kernel_oracle(y)
-        z = num.sum(axis=1).sum()
-        # (exaggeration * P - Q) * num, with the exaggeration factored out
-        pq = (p - np.maximum(num / (z * exaggeration), 1e-12 / exaggeration)) * num
-        attraction = np.stack([np.einsum("ij,j->i", pq, col) for col in y.T.copy()], axis=1)
-        grad = (4.0 * exaggeration) * (pq.sum(axis=1)[:, None] * y - attraction)
+        grad = gradient(p, y, exaggeration)
         momentum = 0.5 if it < 250 else 0.8
         same_sign = np.sign(grad) == np.sign(update)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)
@@ -178,6 +209,9 @@ def _tsne_oracle(f1, perplexity, iterations, learning_rate=200.0, seed=0):
         y = y + update
         y = y - y.mean(axis=0)
     return y
+
+
+_tsne_oracle = functools.partial(_tsne_loop, gradient=_one_pass_gradient)
 
 
 @contextlib.contextmanager
@@ -382,9 +416,9 @@ def test_doc2vec_cluster_cosine_separation():
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_blobs(n_per=6, d=10, seed=0):
+def _gaussian_blobs(n_per=6, d=10, seed=0, blobs=3):
     rng = np.random.default_rng(seed)
-    centers = rng.normal(0, 5.0, size=(3, d))
+    centers = rng.normal(0, 5.0, size=(blobs, d))
     return np.vstack([rng.normal(c, 0.3, size=(n_per, d)) for c in centers])
 
 
@@ -463,6 +497,47 @@ def test_tsne_row_pieces_match_oracle_bitwise(monkeypatch):
                 assert np.array_equal(reduce_to_plane(x, iterations=110, seed=2), expected)
 
 
+def _first_step_gradient(monkeypatch, x, y_start, learning_rate=1e6):
+    """The library's gradient at y_start, read from one t-SNE step: with no
+    momentum yet, every gain becomes 1.2 and the step is -1.2 lr grad; y_start
+    is centred, and the gradient sums to zero, so the recentring moves it by
+    rounding alone."""
+    monkeypatch.setattr(features, "initial_embedding", lambda n, seed: y_start.copy())
+    y = reduce_to_plane(x, iterations=1, learning_rate=learning_rate)
+    return (y_start - y) / (1.2 * learning_rate)
+
+
+def test_tsne_gradient_matches_long_double(monkeypatch):
+    # at the initial embedding and at a converged one; the first step is
+    # exaggerated (x12). The earlier two-pass form meets the same bound.
+    x = _gaussian_blobs(n_per=40, d=8, seed=10, blobs=4)
+    n = x.shape[0]
+    p = joint_affinities(x, default_perplexity(n))
+    converged = reduce_to_plane(x, seed=1)
+    for y_start in (initial_embedding(n, seed=1), converged):
+        y_start = y_start - y_start.mean(axis=0)
+        exact = _exact_gradient(p, y_start, 12.0)
+        bound = 1e-10 * np.max(np.abs(exact))
+        assert np.max(np.abs(_first_step_gradient(monkeypatch, x, y_start) - exact)) < bound
+        assert np.max(np.abs(_two_pass_gradient(p, y_start, 12.0) - exact)) < bound
+
+
+def test_tsne_kl_matches_two_pass_loop():
+    # the one-pass form drops the 1e-12 floor on Q / exaggeration and sums in
+    # another order; over 5 blob draws x 4 t-SNE seeds its mean KL(P || Q)
+    # stays within 2% of the earlier two-pass loop's
+    ours, two_pass = [], []
+    for blob_seed in range(5):
+        x = _gaussian_blobs(n_per=40, d=8, seed=blob_seed, blobs=4)
+        perplexity = default_perplexity(x.shape[0])
+        p = joint_affinities(x, perplexity)
+        for seed in range(4):
+            ours.append(_kl_divergence(p, reduce_to_plane(x, seed=seed)))
+            reference = _tsne_loop(x, perplexity, 500, gradient=_two_pass_gradient, seed=seed)
+            two_pass.append(_kl_divergence(p, reference))
+    assert abs(np.mean(ours) / np.mean(two_pass) - 1.0) < 0.02
+
+
 def test_row_blocks_partition_rows():
     for n, parts in ((42, 1), (42, 2), (43, 3), (5, 8)):
         blocks = features._row_blocks(n, parts)
@@ -472,7 +547,8 @@ def test_row_blocks_partition_rows():
 
 
 def test_tsne_peak_memory_below_three_and_a_half_matrices():
-    # P and two n x n buffers; an exaggerated copy of P would make four.
+    # P, plus two threads' scratch of 2 x 64 rows (0.85 n^2 doubles at this n):
+    # 2.1 n^2 doubles in all; two more n x n buffers would exceed the bound.
     # Two blocks whatever the CPU count: each thread's einsum buffers add a
     # fixed ~0.2 MB, 0.3 n^2 doubles at this n.
     x = _gaussian_blobs(n_per=100, d=8, seed=9)  # n = 300
