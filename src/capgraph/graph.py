@@ -16,10 +16,10 @@ import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
-from operator import attrgetter, is_
+from itertools import compress, count, repeat
+from operator import attrgetter, eq, is_, is_not
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -150,9 +150,6 @@ class Graph:
             self._neighbors = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
         return self._neighbors
 
-    def degree(self, node: int) -> int:
-        return int(self.indptr[node + 1] - self.indptr[node])
-
     def neighbor_ids(self, node: int) -> np.ndarray:
         """Node's neighbors as an ascending int64 array (a view of `indices`)."""
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
@@ -166,12 +163,6 @@ class Graph:
         rows = self.entry_rows()
         upper = rows < self.indices
         return np.column_stack([rows[upper], self.indices[upper]])
-
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(map(tuple, self.edge_array().tolist()))
-
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        return map(tuple, self.edge_array().tolist())
 
     def manufacturer_ids(self) -> list[int]:
         return np.flatnonzero(self.is_manufacturer).tolist()
@@ -291,28 +282,43 @@ def init_type_codes(graph: Graph) -> np.ndarray:
 
 _KIND_TOKENS = {k.value: k for k in Kind}
 _CATEGORY_TOKENS = {c.value: c for c in ServiceCategory}
-_TAB, _NEWLINE, _RETURN, _SPACE, _ZERO = b"\t\n\r 0"
+_TAB, _NEWLINE, _SPACE, _ZERO = b"\t\n 0"
 
 
 def read_records(path: Path | str, fields: int, what: str) -> Iterator[tuple[int, list[str]]]:
-    """The records of a UTF-8 line file as (line number, parts): each line
-    that is not blank splits on tabs into exactly `fields` parts, the last
-    taking the rest of the line. A line with fewer parts is a DataError
-    naming `what`, the file and the line; a file that is not UTF-8, one
-    naming `what` and the file."""
+    """The records of a UTF-8 line file as (line number, parts), then the
+    DataError that ends them, if any (see `_records`)."""
+    linenos, columns, error = _records(path, fields, what)
+    yield from zip(linenos, map(list, zip(*columns)))
+    if error is not None:
+        raise error
+
+
+def _records(path: Path | str, fields: int, what: str) -> tuple[list[int], list[Sequence[str]], DataError | None]:
+    """The line numbers of the records of a UTF-8 line file and their parts,
+    column by column: each line that is not blank splits on tabs into
+    exactly `fields` parts, the last taking the rest of the line. LF, CR and
+    CRLF end a line. The records stop at the first line with fewer parts, or
+    that is not UTF-8, and come with the DataError for it, which names
+    `what`, the file and the line, or `what` and the file."""
+    data = Path(path).read_bytes()
     try:
-        with Path(path).open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t", fields - 1)
-                if len(parts) != fields:
-                    raise DataError(
-                        f"{what} {path} line {lineno}: expected {fields} tab-separated fields, got {len(parts)}"
-                    )
-                yield lineno, parts
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(what, path, exc) from None
+        text, error = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:  # the lines before the undecodable one are read
+        text, error = data[: exc.start].decode("utf-8"), _not_utf8(what, path, exc)
+        text = text[: max(text.rfind("\n"), text.rfind("\r")) + 1]
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    stripped = list(map(str.strip, lines))  # empty for a blank line
+    linenos, lines = list(compress(count(1), stripped)), list(compress(lines, stripped))
+    tabs = list(map(str.count, lines, repeat("\t")))
+    if tabs and min(tabs) < fields - 1:  # the records stop at the first short line
+        k = next(compress(count(), map((fields - 1).__gt__, tabs)))
+        error = DataError(f"{what} {path} line {linenos[k]}: expected {fields} tab-separated fields, got {tabs[k] + 1}")
+        del linenos[k:], lines[k:], tabs[k:]
+    if tabs and max(tabs) > fields - 1:  # a last part holds tabs
+        return linenos, list(zip(*map(str.split, lines, repeat("\t"), repeat(fields - 1)))), error
+    cells = "\t".join(lines).split("\t") if lines else []
+    return linenos, [cells[k::fields] for k in range(fields)], error
 
 
 def _not_utf8(what: str, path: Path | str, exc: UnicodeDecodeError) -> DataError:
@@ -328,72 +334,33 @@ def read_exact(fh: BinaryIO, size: int, error: str) -> bytes:
     return fh.read(size)
 
 
-def _parse_node(parts: list[str], lineno: int) -> tuple[int, NodeKind]:
-    raw_id, raw_kind, raw_category, name = parts
+def _raise_first(what: str, linenos: list[int], checks: list[tuple[list[bool], Callable[[int], str]]],
+                 error: DataError | None) -> None:
+    """Raise for the earliest record that fails a check, naming its line, or
+    else raise `error`, which ended the records. `checks` lists, in the
+    order one line is checked, per record whether it passes, and the
+    message for record k."""
+    hits = [(passed.index(False), order) for order, (passed, _) in enumerate(checks) if not all(passed)]
+    if hits:
+        k, order = min(hits)
+        raise DataError(f"{what} line {linenos[k]}: {checks[order][1](k)}")
+    if error is not None:
+        raise error
+
+
+def _integer(text: str) -> int | None:
     try:
-        node_id = int(raw_id)
+        return int(text)
     except ValueError:
-        raise DataError(f"node file line {lineno}: bad node id {raw_id!r}") from None
-    kind = _KIND_TOKENS.get(raw_kind)
-    if kind is None:
-        raise DataError(f"node file line {lineno}: unknown kind token {raw_kind!r}")
-    if kind is Kind.MANUFACTURER:
-        if raw_category != "-":
-            raise DataError(f"node file line {lineno}: manufacturer category must be '-', got {raw_category!r}")
-        return node_id, manufacturer(name)
-    category = _CATEGORY_TOKENS.get(raw_category)
-    if category is None:
-        raise DataError(f"node file line {lineno}: unknown category token {raw_category!r}")
-    return node_id, service(name, category)
-
-
-def load_graph(node_file: Path | str, edge_file: Path | str) -> Graph:
-    """Load a graph from node and edge files; duplicate edge lines collapse.
-
-    Files in the form `write_graph_files` writes take a few whole-file
-    passes; any other file goes through the per-line parsers, which accept
-    the same files and name the line of the first fault."""
-    node_path, edge_path = Path(node_file), Path(edge_file)
-    nodes = _node_table(node_path)
-    if nodes is None:
-        nodes = _parse_node_lines(node_path)
-    edges = _edge_table(edge_path.read_bytes())
-    if edges is None:
-        return Graph(nodes, _parse_edge_lines(_read_text(edge_path, "edge file"), len(nodes)))
-    try:
-        return Graph(nodes, edges)
-    except DataError:  # names the line of a dangling endpoint or a self-loop
-        _parse_edge_lines(_read_text(edge_path, "edge file"), len(nodes))
-        raise
-
-
-def _read_text(path: Path, what: str) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(what, path, exc) from None
-
-
-def _columns(path: Path, fields: int) -> list[list[str]] | None:
-    """The fields of a UTF-8 file column by column, or None unless every line
-    holds exactly `fields` tab-separated fields (so no line is blank); the
-    per-line reader `read_records` then decides."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
         return None
-    b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    ends = np.flatnonzero(b == _NEWLINE)
-    if not text.endswith("\n"):
-        ends = np.append(ends, b.size)
-    tabs = np.flatnonzero(b == _TAB)
-    if not ends.size or tabs.size != (fields - 1) * ends.size:
-        return None
-    tabs = tabs.reshape(ends.size, fields - 1)
-    if (tabs[:, -1] > ends).any() or (tabs[1:, 0] < ends[:-1]).any():
-        return None
-    cells = text.replace("\n", "\t").split("\t")
-    return [cells[k : fields * ends.size : fields] for k in range(fields)]
+
+
+def _firsts(values: list) -> list[bool]:
+    """Per value, whether no equal value comes before it."""
+    if len(set(values)) == len(values):
+        return [True] * len(values)
+    first = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
+    return list(map(eq, map(first.__getitem__, values), count()))
 
 
 # (kind token, category token) -> (kind, category) of every valid node line
@@ -403,50 +370,71 @@ _NODE_TYPES = {
 }
 
 
-def _node_table(node_path: Path) -> list[NodeKind] | None:
-    """The nodes of a node file whose lines list ids 0, 1, ... in order, each
-    with a valid kind and category; None for any other file."""
-    columns = _columns(node_path, 4)
-    if columns is None:
-        return None
-    ids, kinds, categories, names = columns
+def _read_nodes(path: Path) -> list[NodeKind]:
+    """The nodes of a node file, its lines in any order, by id."""
+    linenos, (raw_ids, kinds, categories, names), error = _records(path, 4, "node file")
+    ids = list(map(_integer, raw_ids))
     types = list(map(_NODE_TYPES.get, zip(kinds, categories)))
-    if ids != list(map(str, range(len(ids)))) or None in types:
-        return None
-    # _columns left no tab or newline in a name, and _NODE_TYPES holds only
-    # valid pairs, so these nodes are made without NodeKind's per-node checks
-    nodes = list(map(object.__new__, repeat(NodeKind, len(names))))
-    for node, (kind, category), name in zip(nodes, types, names):
-        object.__setattr__(node, "__dict__", {"kind": kind, "category": category, "name": name})
+    _raise_first("node file", linenos, [
+        (list(map(is_not, ids, repeat(None))), lambda k: f"bad node id {raw_ids[k]!r}"),
+        (list(map(_KIND_TOKENS.__contains__, kinds)), lambda k: f"unknown kind token {kinds[k]!r}"),
+        (list(map(is_not, types, repeat(None))), lambda k: f"manufacturer category must be '-', got {categories[k]!r}"
+         if kinds[k] == Kind.MANUFACTURER.value else f"unknown category token {categories[k]!r}"),
+        (["\t" not in name for name in names], lambda k: f"node name {names[k]!r} contains tab/newline"),
+        (_firsts(ids), lambda k: f"duplicate node id {ids[k]}"),
+    ], error)
+    p = len(ids)
+    if not p:
+        raise DataError(f"node file {path} is empty")
+    if min(ids) != 0 or max(ids) != p - 1:  # the ids are distinct
+        raise DataError(f"node ids must be contiguous 0..{p - 1}")
+    # the checks left valid (kind, category) pairs and names without tab or
+    # newline, so these nodes are made without NodeKind's per-node checks
+    nodes = list(map(object.__new__, repeat(NodeKind, p)))
+    for i, (kind, category), name in zip(ids, types, names):
+        object.__setattr__(nodes[i], "__dict__", {"kind": kind, "category": category, "name": name})
     return nodes
 
 
-def _parse_node_lines(node_path: Path) -> list[NodeKind]:
-    by_id: dict[int, NodeKind] = {}
-    for lineno, parts in read_records(node_path, 4, "node file"):
-        node_id, node = _parse_node(parts, lineno)
-        if node_id in by_id:
-            raise DataError(f"node file line {lineno}: duplicate node id {node_id}")
-        by_id[node_id] = node
-    if not by_id:
-        raise DataError(f"node file {node_path} is empty")
-    p = len(by_id)
-    if sorted(by_id) != list(range(p)):
-        raise DataError(f"node ids must be contiguous 0..{p - 1}")
-    return [by_id[j] for j in range(p)]
+def load_graph(node_file: Path | str, edge_file: Path | str) -> Graph:
+    """Load a graph from node and edge files; duplicate edge lines collapse.
+
+    Each file is read once. A fault is a DataError that names a line: in the
+    node file the earliest line that any check rejects; in the edge file the
+    first line that does not parse or, when every line parses, the first
+    dangling endpoint or self-loop."""
+    nodes, edge_path = _read_nodes(Path(node_file)), Path(edge_file)
+    data = edge_path.read_bytes()
+    try:
+        data.isascii() or data.decode("utf-8")  # ASCII is UTF-8 already
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("edge file", edge_path, exc) from None
+    edges = _edge_table(data)
+    try:
+        return Graph(nodes, edges)
+    except DataError:  # the first dangling endpoint or self-loop is reported with its line
+        bad = np.flatnonzero((edges >= len(nodes)).any(axis=1) | (edges[:, 0] == edges[:, 1]))
+        if not bad.size:
+            raise
+        s, d = edges[bad[0]].tolist()
+        # edge k is on the k-th line that is not blank; splitlines ends lines at LF, CR and CRLF
+        line = list(compress(count(1), map(bytes.strip, data.splitlines())))[bad[0]]
+        fault = f"dangling endpoint ({s}, {d})" if max(s, d) >= len(nodes) else f"self-loop on node {s}"
+        raise DataError(f"edge file line {line}: {fault}") from None
 
 
 _CHUNK_BYTES = 1 << 18
 _RUN_MASKS = np.array([2**64 - 2 ** (64 - 8 * n) for n in range(9)], dtype=np.uint64)  # the top n bytes
 
 
-def _edge_table(data: bytes) -> np.ndarray | None:
+def _edge_table(data: bytes) -> np.ndarray:
     """The edges of an edge file's bytes as an (m, 2) int64 array, parsed in
-    chunks of whole lines. None unless every line is blank or holds two runs
-    of at most 8 ASCII digits between spaces and tabs; `_parse_edge_lines`
-    then decides and names the line. CR ends a line too: CRLF adds a blank
-    line, which changes no edge."""
-    # 8 newlines in front: every run has 8 bytes before its end, and every
+    chunks of whole lines. A line is blank or holds two endpoints of 1-8
+    ASCII digits between spaces and tabs, and LF, CR and CRLF end it. Any
+    other line is a DataError that names the first such line."""
+    if b"\r" in data:  # CR and CRLF end a line as LF does
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # 8 newlines in front: every field has 8 bytes before its end, and every
     # chunk a newline before its first byte; the newline behind ends every line
     raw = b"\n" * 8 + data + b"\n"
     buf = np.frombuffer(raw, dtype=np.uint8)
@@ -456,61 +444,42 @@ def _edge_table(data: bytes) -> np.ndarray | None:
     begin = 8
     while begin < len(raw):
         end = raw.find(b"\n", begin + _CHUNK_BYTES) + 1 or len(raw)
-        edges = _edge_chunk(buf[begin - 1 : end], at_byte, begin - 1)
-        if edges is None:
-            return None
-        pieces.append(edges)
+        pieces.append(_edge_chunk(buf, at_byte, begin - 1, end))
         begin = end
     return np.concatenate(pieces)
 
 
-def _edge_chunk(b: np.ndarray, at_byte: np.ndarray, offset: int) -> np.ndarray | None:
-    """`_edge_table` for whole lines `b`, which start and end with a newline
-    and start at `offset` in the buffer that `at_byte` reads."""
-    digit = b - _ZERO < 10  # uint8 arithmetic wraps the bytes below '0' above 9
-    newline = (b == _NEWLINE) | (b == _RETURN)
-    if not (digit | newline | (b == _TAB) | (b == _SPACE)).all():
-        return None
-    # digit runs: `digit` changes at a run's first byte and at the byte after it
-    first, after = (np.flatnonzero(digit[1:] != digit[:-1]) + 1).reshape(-1, 2).T
+def _edge_chunk(buf: np.ndarray, at_byte: np.ndarray, start: int, end: int) -> np.ndarray:
+    """`_edge_table` for the whole lines buf[start:end], which start and end
+    with a newline; `at_byte` reads the words of `buf`."""
+    b = buf[start:end]
+    newline = b == _NEWLINE
+    blank = newline | (b == _TAB) | (b == _SPACE)
+    # fields: `blank` changes at a field's first byte and at the byte after it
+    first, after = (np.flatnonzero(blank[1:] != blank[:-1]) + 1).reshape(-1, 2).T
     lengths = after - first
-    if first.size % 2 or (lengths > 8).any():
-        return None
-    # a line's two runs have no newline between them, and a newline follows the second
-    gap_newline = newline[after[:-1]]  # the gap's first byte
-    wide = np.flatnonzero(first[1:] - after[:-1] > 1)
-    if wide.size:
-        ends = np.flatnonzero(newline)
-        gap_newline[wide] = np.searchsorted(ends, after[wide]) < np.searchsorted(ends, first[wide + 1])
-    if gap_newline[0::2].any() or not gap_newline[1::2].all():
-        return None
-    # each run as the word of the 8 bytes that end with it, the bytes before it
-    # cleared, turned into its value by SWAR digit pairing
-    words = at_byte[offset + after - 8] & _RUN_MASKS[lengths]
-    words = (words & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
-    words = (words & 0x00FF00FF00FF00FF) * 6553601 >> 16
-    words = (words & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
-    return words.astype(np.int64).reshape(-1, 2)
-
-
-def _parse_edge_lines(text: str, p: int) -> np.ndarray:
-    edges: list[tuple[int, int]] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataError(f"edge file line {lineno}: expected 'src<TAB>dst'")
-        try:
-            src, dst = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DataError(f"edge file line {lineno}: bad endpoint") from None
-        if not (0 <= src < p and 0 <= dst < p):
-            raise DataError(f"edge file line {lineno}: dangling endpoint ({src}, {dst})")
-        if src == dst:
-            raise DataError(f"edge file line {lineno}: self-loop on node {src}")
-        edges.append((src, dst))
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+    if first.size % 2 == 0 and (lengths <= 8).all() and ((b - _ZERO < 10) | blank).all():
+        # a line's two fields have no newline between them, and a newline follows the second
+        gap_newline = newline[after[:-1]]  # the gap's first byte
+        wide = np.flatnonzero(first[1:] - after[:-1] > 1)
+        if wide.size:
+            ends = np.flatnonzero(newline)
+            gap_newline[wide] = np.searchsorted(ends, after[wide]) < np.searchsorted(ends, first[wide + 1])
+        if not gap_newline[0::2].any() and gap_newline[1::2].all():
+            # each field as the word of the 8 bytes that end with it, the bytes
+            # before it cleared, turned into its value by SWAR digit pairing
+            words = at_byte[start + after - 8] & _RUN_MASKS[lengths]
+            words = (words & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+            words = (words & 0x00FF00FF00FF00FF) * 6553601 >> 16
+            words = (words & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+            return words.astype(np.int64).reshape(-1, 2)
+    # the first faulty line: it has other than two fields, or a field that is not 1-8 digits
+    bad_field = np.logical_or.reduceat(~blank & (b - _ZERO >= 10), first) | (lengths > 8)
+    _, line, fields = np.unique(np.cumsum(newline)[first], return_inverse=True, return_counts=True)
+    wrong_count = (fields != 2)[line]
+    k = int(np.argmax(bad_field | wrong_count))
+    fault = "expected 'src<TAB>dst'" if wrong_count[k] else "bad endpoint"
+    raise DataError(f"edge file line {np.count_nonzero(buf[8 : start + first[k]] == _NEWLINE) + 1}: {fault}")
 
 
 _EDGE_ROWS = 8192
@@ -551,40 +520,25 @@ def _id_fields(p: int, end: int) -> tuple[np.ndarray, np.ndarray]:
 
 def load_corpus(corpus_file: Path | str) -> dict[str, str]:
     """Read a corpus file: one `name<TAB>document-text` record per line."""
-    docs: dict[str, str] = {}
-    for lineno, (name, text) in read_records(corpus_file, 2, "corpus"):
-        if name in docs:
-            raise DataError(f"corpus line {lineno}: duplicate manufacturer name {name!r}")
-        docs[name] = text
-    if not docs:
+    linenos, (names, texts), error = _records(corpus_file, 2, "corpus")
+    _raise_first("corpus", linenos, [(_firsts(names), lambda k: f"duplicate manufacturer name {names[k]!r}")], error)
+    if not names:
         raise DataError("corpus is empty")
-    return docs
+    return dict(zip(names, texts))
 
 
 def load_services(services_file: Path | str) -> list[tuple[str, ServiceCategory]]:
     """Read a service vocabulary: one `name<TAB>category` record per line."""
-    services = []
-    for lineno, (name, category) in read_records(services_file, 2, "services file"):
-        if category not in _CATEGORY_TOKENS:
-            raise DataError(f"services file line {lineno}: unknown category {category!r}")
-        services.append((name, _CATEGORY_TOKENS[category]))
-    return services
+    linenos, (names, categories), error = _records(services_file, 2, "services file")
+    _raise_first("services file", linenos, [
+        (list(map(_CATEGORY_TOKENS.__contains__, categories)), lambda k: f"unknown category {categories[k]!r}"),
+    ], error)
+    return list(zip(names, map(_CATEGORY_TOKENS.__getitem__, categories)))
 
 
 def load_service_edges(edges_file: Path | str) -> list[tuple[str, str]]:
     """Read service-service edges: one `name<TAB>name` record per line."""
     return [(a, b) for _, (a, b) in read_records(edges_file, 2, "service-edges file")]
-
-
-def _contains_token_run(doc_tokens: Sequence[str], needle: Sequence[str]) -> bool:
-    if not needle or len(needle) > len(doc_tokens):
-        return False
-    first = needle[0]
-    span = len(needle)
-    for i, tok in enumerate(doc_tokens[: len(doc_tokens) - span + 1]):
-        if tok == first and list(doc_tokens[i : i + span]) == list(needle):
-            return True
-    return False
 
 
 def build_from_corpus(
@@ -616,13 +570,11 @@ def build_from_corpus(
     nodes.extend(service(name, category) for name, category in services)
     service_id = {name: n + k for k, (name, _) in enumerate(services)}
 
-    edges: list[tuple[int, int]] = []
-    needles = [(service_id[name], tokenize(name)) for name, _ in services]
-    for m, text in enumerate(docs.values()):
-        doc_tokens = tokenize(text)
-        for sid, needle in needles:
-            if _contains_token_run(doc_tokens, needle):
-                edges.append((m, sid))
+    # a service name matches where its tokens occur, space-joined, between
+    # spaces in the document's space-joined tokens
+    needles = [(service_id[name], f" {' '.join(tokenize(name))} ") for name, _ in services if tokenize(name)]
+    texts = [f" {' '.join(tokenize(text))} " for text in docs.values()]
+    edges = [(m, sid) for m, text in enumerate(texts) for sid, needle in needles if needle in text]
     for a, b in service_edges:
         if a not in service_id or b not in service_id:
             missing = a if a not in service_id else b
@@ -802,38 +754,22 @@ def write_assignment(path: Path | str, split: SplitAssignment, labels: np.ndarra
 
 
 def load_assignment(path: Path | str, num_nodes: int, seed: int) -> tuple[np.ndarray, SplitAssignment]:
-    """Read a `write_assignment` file for a graph of `num_nodes` nodes: the
-    labels (0 or 1; 0 for an unlisted node) and the split of the listed nodes.
-    A node listed twice is a DataError."""
+    """Read a `write_assignment` file for a graph of `num_nodes` nodes, its
+    lines in any order: the labels (0 or 1; 0 for an unlisted node) and the
+    split of the listed nodes. A fault, such as a node listed twice, is a
+    DataError that names the earliest faulty line."""
     splits = {s.value: s for s in Split}
+    linenos, (raw_ids, names, raw_labels), error = _records(path, 3, "assignment file")
+    ids = list(map(_integer, raw_ids))
+    bits = list(map({"0": 0, "1": 1}.get, raw_labels))
+    _raise_first("assignment.tsv", linenos, [
+        ([i is not None and (b is not None or _integer(text) is not None) for i, b, text in zip(ids, bits, raw_labels)],
+         lambda k: "node id and label must be integers"),
+        (list(map(is_not, bits, repeat(None))), lambda k: f"label must be 0 or 1, got {raw_labels[k]!r}"),
+        ([i is not None and 0 <= i < num_nodes for i in ids], lambda k: f"node id {ids[k]} out of range"),
+        (list(map(splits.__contains__, names)), lambda k: f"unknown split {names[k]!r}"),
+        (_firsts(ids), lambda k: f"duplicate node id {ids[k]}"),
+    ], error)
     labels = np.zeros(num_nodes, dtype=np.int64)
-    columns = _columns(Path(path), 3)
-    if columns is not None:
-        ids, names, raw_labels = columns
-        text = "".join(raw_labels)
-        if (
-            len(ids) <= num_nodes
-            and ids == list(map(str, range(len(ids))))
-            and set(names) <= splits.keys()
-            and text.strip("01") == ""
-            and len(text) == len(ids)
-        ):
-            labels[: len(ids)] = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - _ZERO
-            return labels, SplitAssignment(dict(enumerate(map(splits.__getitem__, names))), seed)
-    assignment: dict[int, Split] = {}
-    for lineno, (raw_id, split_name, raw_label) in read_records(path, 3, "assignment file"):
-        try:
-            j, label = int(raw_id), int(raw_label)
-        except ValueError:
-            raise DataError(f"assignment.tsv line {lineno}: node id and label must be integers") from None
-        if raw_label not in ("0", "1"):
-            raise DataError(f"assignment.tsv line {lineno}: label must be 0 or 1, got {raw_label!r}")
-        if not 0 <= j < num_nodes:
-            raise DataError(f"assignment.tsv line {lineno}: node id {j} out of range")
-        if split_name not in splits:
-            raise DataError(f"assignment.tsv line {lineno}: unknown split {split_name!r}")
-        if j in assignment:
-            raise DataError(f"assignment.tsv line {lineno}: duplicate node id {j}")
-        assignment[j] = splits[split_name]
-        labels[j] = label
-    return labels, SplitAssignment(assignment, seed)
+    labels[ids] = bits
+    return labels, SplitAssignment(dict(zip(ids, map(splits.__getitem__, names))), seed)

@@ -48,6 +48,11 @@ def random_bipartite_graph(
     return Graph(nodes, edges)
 
 
+def edge_set(graph: Graph) -> set[tuple[int, int]]:
+    """The graph's edges as (u, v) pairs, u < v."""
+    return set(map(tuple, graph.edge_array().tolist()))
+
+
 @pytest.fixture
 def mixed_graph() -> Graph:
     return small_mixed_graph()

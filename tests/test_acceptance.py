@@ -42,7 +42,7 @@ from capgraph.models import (
 )
 from capgraph.seng import SengConfig, oversample
 
-from conftest import random_bipartite_graph
+from conftest import edge_set, random_bipartite_graph
 from test_metrics import ap_oracle, roc_oracle
 
 
@@ -154,7 +154,7 @@ def test_criterion_3_seng_structural_suite():
         base = random_bipartite_graph(rng, n_pos + n_neg, int(rng.integers(6, 12)), 0.35)
         nodes = list(base.nodes) + [service("target", ServiceCategory.PROCESS)]
         target = len(nodes) - 1
-        edges = list(base.iter_edges()) + [(m, target) for m in range(n_pos)]
+        edges = base.edge_array().tolist() + [(m, target) for m in range(n_pos)]
         task = mask_target(Graph(nodes, edges), "target")
         split = stratified_split(task.labels, (0.8, 0.1, 0.1), seed=trial)
         os_scale = float(rng.choice([0.2, 0.4, 0.6, 0.8, 1.0, 1.2]))
@@ -174,8 +174,8 @@ def test_criterion_3_seng_structural_suite():
             assert all(not aug.graph.nodes[s].is_manufacturer for s in rec.attached_services)
         # base restored on synthetic removal
         p = task.graph.num_nodes
-        kept = {e for e in aug.graph.edge_set() if e[0] < p and e[1] < p}
-        assert kept == task.graph.edge_set()
+        kept = {e for e in edge_set(aug.graph) if e[0] < p and e[1] < p}
+        assert kept == edge_set(task.graph)
         # post-SENG training ratio equals (1+OS)*|c2|/|c1| within rounding
         after = compute_imbalance(aug.labels, aug.split.train_ids)
         assert after.majority_size == before.majority_size

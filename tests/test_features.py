@@ -546,23 +546,6 @@ def test_row_blocks_partition_rows():
         assert max(b.stop - b.start for b in blocks) - min(b.stop - b.start for b in blocks) <= 1
 
 
-def test_tsne_peak_memory_below_three_and_a_half_matrices():
-    # P, plus two threads' scratch of 2 x 64 rows (0.85 n^2 doubles at this n):
-    # 2.1 n^2 doubles in all; two more n x n buffers would exceed the bound.
-    # Two blocks whatever the CPU count: each thread's einsum buffers add a
-    # fixed ~0.2 MB, 0.3 n^2 doubles at this n.
-    x = _gaussian_blobs(n_per=100, d=8, seed=9)  # n = 300
-    n = x.shape[0]
-    with _forced_row_blocks(2):
-        tracemalloc.start()
-        try:
-            reduce_to_plane(x, iterations=105, seed=0)  # crosses the exaggeration switch
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert peak < 3.5 * n * n * 8
-
-
 def test_tsne_peak_memory_below_two_matrices():
     # P alone: the distances become the affinities in place, and the kernel
     # and force terms are worked in pieces through small per-thread buffers

@@ -13,8 +13,6 @@ from capgraph.graph import (
     ServiceCategory,
     Split,
     _edge_table,
-    _node_table,
-    _parse_edge_lines,
     build_from_corpus,
     compute_imbalance,
     init_type_codes,
@@ -67,7 +65,7 @@ def test_load_graph_duplicate_edge_collapses(tmp_path):
     edges = _write(tmp_path, "e.tsv", "0\t1\n0\t1\n1\t0\n")
     g = load_graph(nodes, edges)
     assert g.num_edges == 1
-    assert g.degree(0) == 1
+    assert len(g.neighbor_ids(0)) == 1
 
 
 def test_load_graph_rejects_self_loop_with_line(tmp_path):
@@ -117,18 +115,56 @@ def test_load_graph_extra_tab_lands_in_the_name(tmp_path):
         load_graph(nodes, _write(tmp_path, "e.tsv", ""))
 
 
+# Edge files for a graph of 11 nodes and the edges each holds. An endpoint
+# is 1-8 ASCII digits, so the forms that only int() reads are rejected.
+_EDGE_FILES = {
+    b"0\t1\r\n1\t0\r\n": [[0, 1]],  # CRLF, a duplicate in reverse
+    b"0\t1\r2\t3\r": [[0, 1], [2, 3]],  # lone CR
+    b"\n  0 1  \n\n": [[0, 1]],  # blank lines, spaces
+    b"\n  0 1  \n\n \t \n2\t\t3\n": [[0, 1], [2, 3]],  # whitespace-only lines, runs of blanks
+    b"0\t1\n2\t3": [[0, 1], [2, 3]],  # no final newline
+    b"00000007\t10\n": [[7, 10]],  # leading zeros
+    b"": [],
+    b"\n \n": [],
+    b"+1\t2\n": "edge file line 1: bad endpoint",
+    b"0\t1_0\n": "edge file line 1: bad endpoint",
+    "\uff10\t1\n".encode(): "edge file line 1: bad endpoint",  # a full-width digit
+}
+
+# Edge files that are rejected, and the message, which names the first faulty line.
+_BAD_EDGE_FILES = {
+    b"0\t1\t2\n": "edge file line 1: expected 'src<TAB>dst'",  # three fields
+    b"0\t1\n5\n": "edge file line 2: expected 'src<TAB>dst'",  # one field
+    b"0 1 2\n3\n": "edge file line 1: expected 'src<TAB>dst'",  # four fields on two lines
+    b"0\t1\n0\t11\n": "edge file line 2: dangling endpoint (0, 11)",
+    b"0\t1\n123456789\t1\n": "edge file line 2: bad endpoint",  # more than 8 digits
+    b"-1\t2\n": "edge file line 1: bad endpoint",
+    b"0\t1\r\n\r\n3\t3\r\n": "edge file line 3: self-loop on node 3",  # CRLF ends one line
+    b"0\tx\n": "edge file line 1: bad endpoint",
+    b"0\t1\r\n2\t3\r\n4\t5 6\r\n": "edge file line 3: expected 'src<TAB>dst'",
+    "0\t1\r\n2\t3\r\n4\t\u00e9\r\n".encode(): "edge file line 3: bad endpoint",
+}
+
+
+def _load_edges(tmp_path, raw: bytes) -> list[list[int]] | str:
+    """The edges `load_graph` reads from an edge file for 11 nodes, or its message."""
+    nodes = _write(tmp_path, "n.tsv", "".join(f"{j}\tservice\tprocess\ts{j}\n" for j in range(11)))
+    edges = tmp_path / "e.tsv"
+    edges.write_bytes(raw)
+    try:
+        return load_graph(nodes, edges).edge_array().tolist()
+    except DataError as err:
+        return str(err)
+
+
 @pytest.mark.parametrize("text", [
-    "0\t1\r\n1\t0\r\n",  # CRLF, duplicate in reverse
-    "\n  0 1  \n\n",  # blank lines, spaces
-    "0\t1_0\n",  # int() accepts it, numpy's table reader does not
-    "\uff10\t1\n",  # a full-width digit
+    "0\t1\r\n1\t0\r\n",
+    "\n  0 1  \n\n",
+    "0\t1_0\n",  # int() accepts it, the edge file grammar does not
+    "\uff10\t1\n",
 ])
 def test_load_graph_reads_what_int_reads(tmp_path, text):
-    nodes = _write(tmp_path, "n.tsv", "".join(
-        f"{j}\tservice\tprocess\ts{j}\n" for j in range(11)))
-    g = load_graph(nodes, _write(tmp_path, "e.tsv", text))
-    edges = [tuple(map(int, line.split())) for line in text.splitlines() if line.strip()]
-    assert g.edge_set() == {(min(e), max(e)) for e in edges}
+    assert _load_edges(tmp_path, text.encode()) == _EDGE_FILES[text.encode()]
 
 
 def _loop_graph(nodes, edges):
@@ -167,7 +203,7 @@ def test_graph_construction_matches_loop_oracle(data):
     else:
         g = Graph(nodes, edges)
         assert (g.neighbors, g.num_edges) == want
-        assert sorted(g.edge_set()) == list(g.iter_edges())
+        assert g.edge_array().tolist() == [[u, v] for u, ns in enumerate(g.neighbors) for v in ns if u < v]
 
 
 def test_graph_rejects_manufacturer_manufacturer_edge():
@@ -232,64 +268,34 @@ def _universal_newlines(raw: bytes) -> str:
     return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
-# The whole-file reader takes the plain forms; '+', '_' and full-width digits
-# reach the per-line parser, which reads what int() reads.
-@pytest.mark.parametrize("raw, plain", [
-    (b"0\t1\r\n1\t0\r\n", True),  # CRLF
-    (b"0\t1\r2\t3\r", True),  # lone CR
-    (b"\n  0 1  \n\n \t \n2\t\t3\n", True),  # blank and whitespace-only lines, runs of blanks
-    (b"0\t1\n2\t3", True),  # no final newline
-    (b"00000007\t10\n", True),  # leading zeros
-    (b"", True),
-    (b"\n \n", True),
-    (b"+1\t2\n", False),
-    (b"0\t1_0\n", False),
-    ("\uff10\t1\n".encode(), False),
+# `read` marks the files that are read, the others are rejected with a message.
+@pytest.mark.parametrize("raw, read", [
+    (raw, isinstance(want, list)) for raw, want in _EDGE_FILES.items()
 ])
-def test_edge_readers_accept_the_same_files(tmp_path, raw, plain):
-    nodes = _write(tmp_path, "n.tsv", "".join(f"{j}\tservice\tprocess\ts{j}\n" for j in range(11)))
-    edges = tmp_path / "e.tsv"
-    edges.write_bytes(raw)
-    text = _universal_newlines(raw)
-    assert (_edge_table(raw) is not None) == plain
-    want = {(min(e), max(e)) for e in _parse_edge_lines(text, 11).tolist()}
-    assert load_graph(nodes, edges).edge_set() == want
+def test_edge_readers_accept_the_same_files(tmp_path, raw, read):
+    got = _load_edges(tmp_path, raw)
+    assert isinstance(got, list) == read
+    assert got == _EDGE_FILES[raw]
 
 
-@pytest.mark.parametrize("raw", [
-    b"0\t1\t2\n",  # three fields
-    b"0\t1\n5\n",  # one field
-    b"0 1 2\n3\n",  # four runs on two lines
-    b"0\t1\n0\t11\n",  # dangling
-    b"0\t1\n123456789\t1\n",  # dangling, more than 8 digits
-    b"-1\t2\n",
-    b"0\t1\r\n\r\n3\t3\r\n",  # self-loop
-    b"0\tx\n",
-])
+@pytest.mark.parametrize("raw", list(_BAD_EDGE_FILES))
 def test_edge_readers_reject_the_same_files_with_the_same_message(tmp_path, raw):
-    nodes = _write(tmp_path, "n.tsv", "".join(f"{j}\tservice\tprocess\ts{j}\n" for j in range(11)))
-    edges = tmp_path / "e.tsv"
-    edges.write_bytes(raw)
-    with pytest.raises(DataError) as want:
-        _parse_edge_lines(_universal_newlines(raw), 11)
-    assert "line" in str(want.value)
-    with pytest.raises(DataError) as got:
-        load_graph(nodes, edges)
-    assert str(got.value) == str(want.value)
+    assert _load_edges(tmp_path, raw) == _BAD_EDGE_FILES[raw]
 
 
-def _split_lines(text: str) -> list[tuple[int, int]] | None:
-    """Each non-blank line's two int() fields, or None."""
+def _split_lines(text: str) -> list[tuple[int, int]] | str:
+    """Each non-blank line's two endpoints of 1-8 ASCII digits, between
+    spaces and tabs; or the message for the first line that is not so."""
     edges = []
-    for line in _universal_newlines(text.encode()).split("\n"):
-        parts = line.split()
+    for lineno, line in enumerate(_universal_newlines(text.encode()).split("\n"), start=1):
+        parts = [part for part in re.split(r"[ \t]+", line) if part]
         if not parts:
             continue
-        try:
-            src, dst = map(int, parts)
-        except ValueError:
-            return None
-        edges.append((src, dst))
+        if len(parts) != 2:
+            return f"edge file line {lineno}: expected 'src<TAB>dst'"
+        if not all(re.fullmatch(r"[0-9]{1,8}", part) for part in parts):
+            return f"edge file line {lineno}: bad endpoint"
+        edges.append((int(parts[0]), int(parts[1])))
     return edges
 
 
@@ -305,13 +311,13 @@ _EDGE_LINES = st.builds(lambda tokens, gap, edge: edge + gap.join(tokens) + edge
     st.builds("\n".join, st.lists(_EDGE_LINES, max_size=8)),
 ))
 def test_edge_table_reads_the_plain_files_the_line_parser_reads(text):
-    table = _edge_table(text.encode())
     want = _split_lines(text)
-    if table is not None:
-        assert table.tolist() == [list(e) for e in want]
+    if isinstance(want, str):
+        with pytest.raises(DataError) as err:
+            _edge_table(text.encode())
+        assert str(err.value) == want
     else:
-        plain = re.compile(r"[0-9]{1,8}")
-        assert want is None or not all(plain.fullmatch(tok) for tok in text.split())
+        assert _edge_table(text.encode()).tolist() == [list(e) for e in want]
 
 
 @pytest.mark.parametrize("text", [
@@ -324,7 +330,13 @@ def test_node_readers_accept_the_same_files(tmp_path, text):
     nodes.write_bytes(text.encode())
     g = load_graph(nodes, _write(tmp_path, "e.tsv", "0\t1\n"))
     assert g.nodes == (manufacturer("a"), service("b", ServiceCategory.PROCESS))
-    assert _node_table(nodes) is None
+
+
+def test_node_file_reports_the_earliest_faulty_line(tmp_path):
+    lines = ["0\tmanufacturer\t-\ta\n", "x\tservice\tprocess\tb\n", "2\twidget\t-\tc\n"]  # bad id, then bad kind
+    nodes = _write(tmp_path, "n.tsv", "".join(lines))
+    with pytest.raises(DataError, match=r"^node file line 2: bad node id 'x'$"):
+        load_graph(nodes, _write(tmp_path, "e.tsv", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +359,7 @@ def test_corpus_token_boundary_matching():
 
 def test_corpus_empty_doc_isolated_manufacturer():
     g = build_from_corpus({"acme": ""}, SERVICES)
-    assert g.degree(0) == 0
+    assert len(g.neighbor_ids(0)) == 0
 
 
 def test_corpus_case_insensitive():
@@ -357,7 +369,7 @@ def test_corpus_case_insensitive():
 
 def test_corpus_no_substring_false_hit():
     g = build_from_corpus({"acme": "ask for copperfield"}, [("copper", ServiceCategory.MATERIAL)])
-    assert g.degree(0) == 0
+    assert len(g.neighbor_ids(0)) == 0
 
 
 def test_corpus_multiword_service_name():
@@ -365,8 +377,8 @@ def test_corpus_multiword_service_name():
         {"a": "certified to ISO 9001 since 2001", "b": "iso certified, 9001 pending"},
         [("ISO 9001", ServiceCategory.CERTIFICATION)],
     )
-    assert g.degree(0) == 1
-    assert g.degree(1) == 0  # tokens present but not adjacent
+    assert len(g.neighbor_ids(0)) == 1
+    assert len(g.neighbor_ids(1)) == 0  # tokens present but not adjacent
 
 
 def test_corpus_duplicate_service_rejected():
@@ -438,7 +450,7 @@ def test_mask_target_degree_oracle():
     assert task.graph.num_nodes == g.num_nodes - 1
     assert int(task.labels.sum()) == 4
     assert len(task.removed_edges) == 4
-    assert g.num_edges - task.graph.num_edges == g.degree(4)
+    assert g.num_edges - task.graph.num_edges == len(g.neighbor_ids(4))
 
 
 def test_mask_target_no_neighbors():

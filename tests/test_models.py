@@ -51,7 +51,7 @@ from capgraph.models import (
 from capgraph.seng import without_oversampling
 from capgraph.harness import PlantedDatasetSpec, generate_planted_dataset, planted_task
 
-from conftest import random_bipartite_graph
+from conftest import edge_set, random_bipartite_graph
 
 
 def _six_node_instance(seed: int, feature_scale: float = 0.4):
@@ -602,10 +602,10 @@ def test_link_split_contract():
     total = sum(len(p) for p in pools)
     assert total == len(task.removed_edges)
     # negatives are non-edges
-    edge_set = graph.edge_set()
+    edges = edge_set(graph)
     for pool in (ls.neg_train, ls.neg_valid, ls.neg_test):
         for m, t in pool:
-            assert (min(m, t), max(m, t)) not in edge_set
+            assert (min(m, t), max(m, t)) not in edges
     # held-out positives removed from the message graph
     msg = set(map(tuple, ls.message_edges.tolist()))
     for m, t in [*map(tuple, ls.pos_valid), *map(tuple, ls.pos_test)]:

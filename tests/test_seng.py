@@ -26,7 +26,7 @@ from capgraph.seng import (
     write_audit_file,
 )
 
-from conftest import random_bipartite_graph
+from conftest import edge_set, random_bipartite_graph
 
 
 def _stats(minority: int, majority: int) -> ClassStats:
@@ -98,7 +98,7 @@ def _imbalanced_task(n_pos=8, n_neg=40, seed=0):
     g = random_bipartite_graph(rng, n_manu, 10, 0.35)
     nodes = list(g.nodes) + [service("target", ServiceCategory.PROCESS)]
     target = len(nodes) - 1
-    edges = list(g.iter_edges()) + [(m, target) for m in range(n_pos)]
+    edges = g.edge_array().tolist() + [(m, target) for m in range(n_pos)]
     return mask_target(Graph(nodes, edges), "target")
 
 
@@ -138,7 +138,7 @@ def _structural_checks(task, aug):
     assert [aug.graph.nodes[s] for s in aug.graph.service_ids()] == [
         base.nodes[s] for s in base.service_ids()
     ]
-    base_edges = base.edge_set()
+    base_edges = edge_set(base)
     for rec in aug.synthetic:
         # synthetic edges are bipartite and realistic
         union = set()
@@ -151,9 +151,9 @@ def _structural_checks(task, aug):
         # synthetic nodes train-only, minority-labeled
         assert aug.split.assignment[rec.node] is Split.TRAIN
     # removing synthetic nodes restores the base graph exactly
-    kept = {e for e in aug.graph.edge_set() if e[0] < base.num_nodes and e[1] < base.num_nodes}
+    kept = {e for e in edge_set(aug.graph) if e[0] < base.num_nodes and e[1] < base.num_nodes}
     assert kept == base_edges
-    synth_edges = aug.graph.edge_set() - kept
+    synth_edges = edge_set(aug.graph) - kept
     assert len(synth_edges) == sum(len(r.attached_services) for r in aug.synthetic)
 
 
@@ -205,7 +205,7 @@ def test_minority_label_zero_seeds_from_manufacturers():
     g = random_bipartite_graph(rng, 40, 8, 0.5)
     nodes = list(g.nodes) + [service("target", ServiceCategory.PROCESS)]
     target = len(nodes) - 1
-    edges = list(g.iter_edges()) + [(m, target) for m in range(32)]
+    edges = g.edge_array().tolist() + [(m, target) for m in range(32)]
     task = mask_target(Graph(nodes, edges), "target")
     split = stratified_split(task.labels, (0.8, 0.1, 0.1), seed=1)
     stats = compute_imbalance(task.labels, split.train_ids)
