@@ -82,12 +82,29 @@ def build_neighbor_paragraphs(graph: Graph | AugmentedGraph) -> dict[int, list[s
     return paragraphs
 
 
+def _inverse_cdf_search(cdf: np.ndarray):
+    """`draw(r)`, equal to `cdf.searchsorted(r, side="right")` for r in [0, 1): a table of the
+    answers at 2^k >= 4 len(cdf) equal bucket edges, then a branch-free bisection in r's bucket."""
+    scale = float(1 << max(10, (4 * cdf.size - 1).bit_length()))
+    first = cdf.searchsorted(np.arange(scale + 1) / scale, side="right")  # bucket b's answers: first[b]..first[b + 1]
+    width = int(np.diff(first).max())
+    probe = np.append(cdf, np.full(width, np.inf))  # a probe past the bucket reads inf
+
+    def draw(r: np.ndarray) -> np.ndarray:
+        at = first[(r * scale).astype(np.intp)]  # b = floor(r 2^k), exact
+        for step in [1 << i for i in reversed(range(width.bit_length()))]:
+            at += step * (probe[step - 1:][at] <= r)  # an offset view, not an offset index array
+        return at
+
+    return draw
+
+
 def train_paragraph_vectors(
     paragraphs: Mapping[int, Sequence[str]],
-    dim: int = 64,
-    epochs: int = 40,
-    learning_rate: float = 0.025,
-    negatives: int = 5,
+    dim: int = EmbeddingConfig.dim,
+    epochs: int = EmbeddingConfig.epochs,
+    learning_rate: float = EmbeddingConfig.learning_rate,
+    negatives: int = EmbeddingConfig.negatives,
     seed: int = 0,
 ) -> np.ndarray:
     """Distributed bag-of-words paragraph vectors with negative sampling.
@@ -105,12 +122,11 @@ def train_paragraph_vectors(
     skipped and map to the zero vector.
 
     Noise words are drawn by inverse-CDF search over the unigram^0.75 table
-    (the algorithm of `Generator.choice(p=...)`), one block of visits'
-    draws at a time. The generator yields its stream in order, so the
-    output does not depend on the block size.
+    through an O(vocabulary) bucket table, one block of visits' draws at a
+    time: exactly the words `Generator.choice(p=...)` draws from the stream,
+    which the generator yields in order, so the block size does not matter.
     """
-    if dim < 2:
-        raise DataError("embedding width must be >= 2")
+    EmbeddingConfig(dim, epochs, learning_rate, negatives)
     keys = list(paragraphs)
     token_lists = [list(paragraphs[k]) for k in keys]
     if not any(token_lists):
@@ -128,7 +144,7 @@ def train_paragraph_vectors(
     noise = counts ** 0.75
     noise /= noise.sum()
     noise_cdf = noise.cumsum()
-    noise_cdf /= noise_cdf[-1]
+    draw_noise = _inverse_cdf_search(noise_cdf / noise_cdf[-1])
 
     rng = np.random.default_rng(seed)
     vectors = rng.uniform(-0.5 / dim, 0.5 / dim, size=(len(keys), dim))
@@ -149,7 +165,7 @@ def train_paragraph_vectors(
     min_alpha = learning_rate * 1e-4
     for epoch in range(epochs):
         for first, rows, pos, owner in blocks:
-            neg = noise_cdf.searchsorted(rng.random((pos.size, negatives)), side="right")
+            neg = draw_noise(rng.random((pos.size, negatives)))
             keep = neg != pos[:, None]  # a noise word equal to its token is dropped
             cells = len(rows) * n_words
             positive = np.bincount(owner + pos, minlength=cells)
@@ -173,7 +189,7 @@ def train_paragraph_vectors(
                 np.multiply(step, half[at], out=step)
                 np.subtract(base[at], step, out=step)
                 dv = step @ u
-                np.add(u, np.multiply.outer(step, v), out=u)
+                np.add(u, np.einsum("i,j->ij", step, v), out=u)
                 word_out[w] = u  # each distinct word once
                 np.add(v, dv / encoded[row].size, out=v)
     return vectors
@@ -353,9 +369,9 @@ def initial_embedding(n: int, seed: int) -> np.ndarray:
 
 def reduce_to_plane(
     f1: np.ndarray,
-    perplexity: float | None = None,
-    iterations: int = 500,
-    learning_rate: float = 200.0,
+    perplexity: float | None = TsneConfig.perplexity,
+    iterations: int = TsneConfig.iterations,
+    learning_rate: float = TsneConfig.learning_rate,
     seed: int = 0,
 ) -> np.ndarray:
     """Exact t-SNE to two dimensions.
@@ -371,6 +387,7 @@ def reduce_to_plane(
     row sums alone. Rows are worked in parallel blocks with no BLAS call, so
     the output depends on the inputs and the seed alone.
     """
+    TsneConfig(perplexity, iterations, learning_rate)
     f1 = np.asarray(f1, dtype=np.float64)
     n = f1.shape[0]
     if perplexity is None:

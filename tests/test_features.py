@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capgraph import features
 from capgraph.errors import DataError, NumericError
@@ -389,6 +391,91 @@ def test_doc2vec_does_not_depend_on_draw_block_size(monkeypatch):
         assert np.array_equal(train_paragraph_vectors(corpus, dim=8, epochs=3, seed=4), expected)
 
 
+def _unigram_cdf(counts):
+    """The noise CDF as `train_paragraph_vectors` builds it from word counts."""
+    noise = np.asarray(counts, dtype=np.float64) ** 0.75
+    noise /= noise.sum()
+    cdf = noise.cumsum()
+    return cdf / cdf[-1]
+
+
+def _bucket_widths(cdf):
+    """Words per bucket of the documented table: 2^k >= 4 words, k >= 10."""
+    buckets = 1 << max(10, (4 * cdf.size - 1).bit_length())
+    return buckets, np.diff(cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right"))
+
+
+def _dominant_counts(rare, at):
+    counts = np.ones(rare + 1)
+    counts[at] = 1e9
+    return counts
+
+
+def _assert_draws_match_search(cdf, rng):
+    buckets, _ = _bucket_widths(cdf)
+    edges = np.arange(buckets) / buckets
+    inner = cdf[cdf < 1.0]
+    r = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)], edges, np.nextafter(edges[1:], 0.0),
+        inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0), rng.random(1000),
+    ])
+    r = r[r < 1.0]
+    draw = features._inverse_cdf_search(cdf)
+    assert np.array_equal(draw(r), cdf.searchsorted(r, side="right"))
+    block = rng.random((37, 5))
+    assert np.array_equal(draw(block), cdf.searchsorted(block, side="right"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.sampled_from(["flat", "zipf", "dominant"]), st.integers(0, 2**32 - 1))
+def test_noise_draws_match_inverse_cdf_search(n_words, shape, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "flat":
+        counts = rng.integers(1, 50, size=n_words)
+    elif shape == "zipf":
+        counts = np.minimum(rng.zipf(1.3, size=n_words), 10**9)
+    else:
+        counts = _dominant_counts(n_words - 1, int(rng.integers(n_words)))
+    _assert_draws_match_search(_unigram_cdf(counts), rng)
+
+
+def test_noise_draws_bisect_a_packed_bucket():
+    # one word of count 1e9 packs 3,000 rare words into a few buckets: the
+    # draw must bisect within a bucket of hundreds of words
+    for at in (0, 1500, 3000):
+        cdf = _unigram_cdf(_dominant_counts(3000, at))
+        assert _bucket_widths(cdf)[1].max() > 1
+        _assert_draws_match_search(cdf, np.random.default_rng(at))
+
+
+def _skewed_corpus(n_words=2000, n=120, seed=0):
+    """Every word of a 2,000-word vocabulary once, then Zipf-drawn repeats."""
+    rng = np.random.default_rng(seed)
+    per = n_words // n + 1
+    paragraphs = {}
+    for j in range(n):
+        words = [f"v{k}" for k in range(j * per, min(n_words, (j + 1) * per))]
+        words += [f"v{k - 1}" for k in np.minimum(rng.zipf(1.5, size=40), n_words)]
+        paragraphs[j] = words
+    return paragraphs
+
+
+def test_doc2vec_bucketed_draws_match_plain_search(monkeypatch):
+    corpora = [(_tagged_corpus(seed=5), 16), (_skewed_corpus(), 8)]
+    got = [train_paragraph_vectors(corpus, dim=dim, epochs=3, seed=6) for corpus, dim in corpora]
+    monkeypatch.setattr(features, "_inverse_cdf_search", lambda cdf: functools.partial(cdf.searchsorted, side="right"))
+    for (corpus, dim), vectors in zip(corpora, got):
+        assert np.array_equal(vectors, train_paragraph_vectors(corpus, dim=dim, epochs=3, seed=6))
+
+
+@pytest.mark.parametrize("setting", [
+    {"negatives": 0}, {"epochs": 0}, {"learning_rate": float("nan")}, {"learning_rate": -1.0}, {"dim": 1},
+])
+def test_doc2vec_rejects_invalid_settings(setting):
+    with pytest.raises(DataError):
+        train_paragraph_vectors({0: ["a", "b"], 1: ["b", "c"]}, **setting)
+
+
 def _mean_cosines(f1, membership):
     norms = np.linalg.norm(f1, axis=1, keepdims=True)
     unit = f1 / np.maximum(norms, 1e-12)
@@ -559,6 +646,13 @@ def test_tsne_peak_memory_below_two_matrices():
         finally:
             tracemalloc.stop()
     assert peak < 2.0 * n * n * 8
+
+
+def test_tsne_rejects_invalid_settings():
+    x = _gaussian_blobs(n_per=2, seed=0)
+    for setting in ({"iterations": 0}, {"learning_rate": float("nan")}, {"perplexity": -1.0}):
+        with pytest.raises(DataError):
+            reduce_to_plane(x, **setting)
 
 
 def test_tsne_perplexity_infeasible():
