@@ -24,7 +24,6 @@ from .errors import DataError, NumericError
 from .features import load_matrix, save_matrix
 from .graph import (
     Graph,
-    SplitAssignment,
     build_from_corpus,
     load_assignment,
     load_corpus,
@@ -320,9 +319,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_run_dir(
-    run_dir: Path,
-) -> tuple[Graph, np.ndarray, ModelParameters, dict, np.ndarray, SplitAssignment]:
+def _load_run_dir(run_dir: Path) -> tuple[Graph, np.ndarray, ModelParameters, dict, int]:
+    """The graph, features, checkpoint, config and seed of a run directory,
+    checked against each other; `assignment.tsv` is left to `eval`."""
     graph = load_graph(run_dir / "nodes.tsv", run_dir / "edges.tsv")
     features = load_matrix(run_dir / "features.bin")
     params = load_checkpoint(run_dir / "checkpoint.bin")
@@ -340,13 +339,13 @@ def _load_run_dir(
             f"checkpoint/feature mismatch: model expects {params.input_dim} dims,"
             f" features carry {features.shape[1]}"
         )
-    labels, split = load_assignment(run_dir / "assignment.tsv", graph.num_nodes, seed)
-    return graph, features, params, config, labels, split
+    return graph, features, params, config, seed
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
-    graph, features, params, config, labels, split = _load_run_dir(run_dir)
+    graph, features, params, config, seed = _load_run_dir(run_dir)
+    labels, split = load_assignment(run_dir / "assignment.tsv", graph.num_nodes, seed)
     probs, _ = forward(features, graph, params)
     test_ids = np.array(split.test_ids, dtype=np.int64)
     roc = auc_roc(probs[test_ids], labels[test_ids])
@@ -394,7 +393,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
-    graph, features, params, config, _, _ = _load_run_dir(run_dir)
+    graph, features, params, config, _ = _load_run_dir(run_dir)
     threshold = args.threshold
     if threshold is None:
         try:

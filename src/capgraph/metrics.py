@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 
 
 def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -18,25 +18,27 @@ def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(labels, dtype=np.int64)
     if s.shape != y.shape or s.ndim != 1:
         raise DataError(f"scores/labels shape mismatch: {s.shape} vs {y.shape}")
+    if np.isnan(s).any():  # NaN equals nothing, so it would belong to no tie group
+        raise NumericError(f"{np.count_nonzero(np.isnan(s))} of {s.size} scores are NaN")
     npos = int(np.count_nonzero(y == 1))
     if npos == 0 or npos == y.size:
         raise DataError("single-class input: both classes required")
     return s, y
 
 
+def _tie_groups(sorted_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends): the half-open index ranges of the runs of equal scores."""
+    starts = np.flatnonzero(np.concatenate([[True], sorted_scores[1:] != sorted_scores[:-1]]))
+    return starts, np.append(starts[1:], sorted_scores.size)
+
+
 def auc_roc(scores, labels) -> float:
     """(#concordant pairs + 0.5 * ties) / (#pos * #neg) via average ranks."""
     s, y = _validate(scores, labels)
     order = np.argsort(s, kind="stable")
+    starts, ends = _tie_groups(s[order])
     ranks = np.empty(s.size, dtype=np.float64)
-    sorted_scores = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j < s.size and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)  # average 1-based rank of the tie group
-        i = j
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)  # average 1-based rank of each tie group
     npos = int(np.count_nonzero(y == 1))
     nneg = y.size - npos
     rank_sum = float(ranks[y == 1].sum())
@@ -52,18 +54,8 @@ def auc_pr(scores, labels) -> float:
     """
     s, y = _validate(scores, labels)
     order = np.argsort(-s, kind="stable")
-    sorted_scores = s[order]
-    sorted_labels = y[order]
-    cum_tp = np.cumsum(sorted_labels)
-    npos = int(cum_tp[-1])
-    total = 0.0
-    i = 0
-    while i < s.size:
-        j = i
-        while j < s.size and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        group_pos = int(cum_tp[j - 1] - (cum_tp[i - 1] if i else 0))
-        if group_pos:
-            total += group_pos * (float(cum_tp[j - 1]) / j)  # precision at group end
-        i = j
-    return total / npos
+    _, ends = _tie_groups(s[order])
+    cum_tp = np.cumsum(y[order])[ends - 1]  # true positives up to each group's end
+    group_pos = np.diff(cum_tp, prepend=0)
+    terms = (group_pos * (cum_tp / ends))[group_pos != 0]  # precision at group end
+    return float(np.cumsum(terms)[-1]) / int(cum_tp[-1])  # summed in order, as a running total

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .graph import Graph, SplitAssignment, _largest_remainder, read_exact
+from .graph import Graph, SplitAssignment, _frozen, _largest_remainder, read_exact
 from .metrics import auc_pr, auc_roc
 from .seng import AugmentedGraph
 
@@ -269,17 +269,26 @@ class EncoderCache:
     p: np.ndarray | None = None
 
 
+def layer_input(features: np.ndarray, layer: NeighborStep) -> np.ndarray:
+    """The layer-1 weight product's input, `layer` applied to the features,
+    read-only: a trainer with fixed steps forms it once per run."""
+    return _frozen(layer(np.asarray(features, dtype=np.float64)))
+
+
 def encode(
     features: np.ndarray,
     adjacency: Adjacency,
     params: ModelParameters,
     steps: tuple[NeighborStep, NeighborStep] | None = None,
+    c1: np.ndarray | None = None,
 ) -> EncoderCache:
     """Two-layer encoder pass (no head). `adjacency` is a graph (its cached
     blocks) or a dense p x p array; `steps`, when given, are its prebuilt
-    `neighbor_steps`."""
+    `neighbor_steps`, and `c1`, when given, is `layer_input(features,
+    steps[0])`."""
     layer, head = neighbor_steps(params.kind, adjacency) if steps is None else steps
-    c1 = layer(np.asarray(features, dtype=np.float64))
+    if c1 is None:
+        c1 = layer_input(features, layer)
     z1 = c1 @ params.w1
     h1 = np.maximum(z1, 0.0)
     c2 = layer(h1)
@@ -293,12 +302,13 @@ def forward(
     adjacency: Adjacency,
     params: ModelParameters,
     steps: tuple[NeighborStep, NeighborStep] | None = None,
+    c1: np.ndarray | None = None,
 ) -> tuple[np.ndarray, EncoderCache]:
     """Node-classification pass, the encoder then the sigmoid head; returns
-    (P, cache)."""
+    (P, cache). `steps` and `c1` are as in `encode`."""
     if params.w3 is None:
         raise DataError("model has no classification head")
-    cache = encode(features, adjacency, params, steps)
+    cache = encode(features, adjacency, params, steps, c1)
     cache.c3 = cache.head(cache.h2)
     cache.z3 = cache.c3 @ params.w3
     cache.p = _sigmoid(cache.z3)[:, 0]
@@ -519,14 +529,16 @@ def train_node_classifier(
 
     rng = np.random.default_rng(config.seed)
     params = init_parameters(kind, features.shape[1], config.d_hidden, rng)
-    # the steps are built once per run; fanout draws a new mean aggregator per epoch
+    # the steps and the layer-1 input are formed once per run; fanout draws
+    # a new mean aggregator, so a new layer-1 input, every epoch
     resample = config.fanout is not None
     steps = None if resample else neighbor_steps(kind, g)
+    c1 = None if resample else layer_input(features, steps[0])
     log: list[EpochRecord] = []
 
     def epoch():
         epoch_steps = neighbor_steps(kind, g, config.fanout, rng) if resample else steps
-        p, cache = forward(features, g, params, epoch_steps)
+        p, cache = forward(features, g, params, epoch_steps, c1)
         loss = weighted_bce_loss(p, y, train_idx, weights)
         valid_auc = auc_roc(p[valid_idx], y[valid_idx])
         log.append(EpochRecord(len(log), loss, valid_auc))
@@ -671,6 +683,7 @@ def train_link_predictor(
     message = Graph(graph.nodes, link_split.message_edges)
     params = init_parameters(kind, features.shape[1], config.d_hidden, rng, with_head=False)
     steps = neighbor_steps(kind, message)
+    c1 = layer_input(features, steps[0])
 
     def pairs(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.vstack([pos, neg]), np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
@@ -679,7 +692,7 @@ def train_link_predictor(
     valid_pairs, valid_y = pairs(link_split.pos_valid, link_split.neg_valid)
 
     def epoch():
-        cache = encode(features, message, params, steps)
+        cache = encode(features, message, params, steps, c1)
         h = link_embeddings(cache)
         valid_auc = auc_roc(_pair_scores(h, valid_pairs), valid_y)
         return valid_auc, lambda: encoder_backward(
@@ -687,7 +700,7 @@ def train_link_predictor(
         )
 
     params, epochs_run = _fit(params, config, epoch)
-    h_final = link_embeddings(encode(features, message, params, steps))
+    h_final = link_embeddings(encode(features, message, params, steps, c1))
     test_pairs, test_y = pairs(link_split.pos_test, link_split.neg_test)
     test_scores = _pair_scores(h_final, test_pairs)
     return params, LinkEvalResult(

@@ -331,6 +331,23 @@ def test_train_run_dir_independent_of_blas_threads(tmp_path):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("task", ["node", "link"])
+def test_train_diverged_model_exits_3(planted_dir, tmp_path, task):
+    # the weights overflow to NaN; a NaN score is a numeric failure, where the
+    # AUC's tie search once looped forever (the timeout keeps a hang out of the suite)
+    src = str(Path(capgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "capgraph.cli", "train",
+         "--nodes", str(planted_dir / "nodes.tsv"), "--edges", str(planted_dir / "edges.tsv"),
+         "--target", "target capability", "--method", "plain", "--task", task,
+         "--lr", "1e308", "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3, done.stderr
+    assert "numeric failure:" in done.stderr and "scores are NaN" in done.stderr
+
+
 def test_train_link_method_seng_rejected(planted_dir, tmp_path, capsys):
     code = main([
         "train", "--nodes", str(planted_dir / "nodes.tsv"), "--edges", str(planted_dir / "edges.tsv"),
@@ -444,6 +461,21 @@ def test_predict_known_and_unknown(planted_dir, tmp_path, capsys):
     assert 0.0 <= float(prob) <= 1.0
     assert label in ("0", "1")
     assert main(["predict", "--run-dir", str(out), "--name", "ghost"]) == 2
+
+
+@pytest.mark.parametrize("damage", ["non-integer", "missing", "directory", "not-utf8"])
+def test_predict_reads_no_assignment(trained_run, tmp_path, capsys, damage):
+    predict = ["predict", "--run-dir", str(tmp_path / "run"), "--name", "maker-00000"]
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    assert main(predict) == 0
+    intact = capsys.readouterr().out
+    if damage == "non-integer":
+        (run / "assignment.tsv").write_bytes(b"x" + (run / "assignment.tsv").read_bytes())
+    else:
+        _unreadable(run / "assignment.tsv", damage)
+    assert main(predict) == 0
+    assert capsys.readouterr().out == intact
 
 
 def test_predict_boundary_half_maps_to_zero(planted_dir, tmp_path, capsys):

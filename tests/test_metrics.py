@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capgraph.errors import DataError
-from capgraph.metrics import auc_pr, auc_roc
+from capgraph.errors import DataError, NumericError
+from capgraph.metrics import _validate, auc_pr, auc_roc
 
 
 def roc_oracle(scores, labels) -> float:
@@ -41,6 +41,48 @@ def ap_oracle(scores, labels) -> float:
         total += group_pos * tp / j
         i = j
     return total / n_pos
+
+
+def loop_auc_roc(scores, labels) -> float:
+    """The rank-based AUC-ROC with tie groups found by a per-score scan."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(s.size, dtype=np.float64)
+    sorted_scores = s[order]
+    i = 0
+    while i < s.size:
+        j = i
+        while j < s.size and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + 1 + j)
+        i = j
+    npos = int(np.count_nonzero(y == 1))
+    nneg = y.size - npos
+    rank_sum = float(ranks[y == 1].sum())
+    return (rank_sum - npos * (npos + 1) / 2.0) / (npos * nneg)
+
+
+def loop_auc_pr(scores, labels) -> float:
+    """Average precision with tie groups found by a per-score scan and the
+    group terms added to a running total."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    order = np.argsort(-s, kind="stable")
+    sorted_scores = s[order]
+    cum_tp = np.cumsum(y[order])
+    npos = int(cum_tp[-1])
+    total = 0.0
+    i = 0
+    while i < s.size:
+        j = i
+        while j < s.size and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        group_pos = int(cum_tp[j - 1] - (cum_tp[i - 1] if i else 0))
+        if group_pos:
+            total += group_pos * (float(cum_tp[j - 1]) / j)
+        i = j
+    return total / npos
 
 
 def test_roc_perfect_separation():
@@ -111,3 +153,42 @@ def test_monotone_transform_invariance(data):
     assert auc_pr(scores, labels) == pytest.approx(auc_pr(transformed, labels), abs=1e-12)
     exp = [float(np.exp(s)) for s in scores]
     assert auc_roc(scores, labels) == pytest.approx(auc_roc(exp, labels), abs=1e-12)
+
+
+@st.composite
+def _tied_cases(draw):
+    """Scores drawn from a pool of at most 6 values (signed zeros and
+    infinities allowed), so most scores share a tie group, and labels with
+    both classes."""
+    pool = draw(st.lists(
+        st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324]),
+        min_size=1, max_size=6,
+    ))
+    n = draw(st.integers(2, 300))
+    scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda ls: 0 < sum(ls) < len(ls)))
+    return scores, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_cases())
+def test_vectorised_tie_groups_equal_the_loops(case):
+    scores, labels = case
+    assert auc_roc(scores, labels) == loop_auc_roc(scores, labels)
+    assert auc_pr(scores, labels) == loop_auc_pr(scores, labels)
+
+
+def test_vectorised_tie_groups_equal_the_loops_on_long_inputs():
+    rng = np.random.default_rng(14)
+    for n in (824, 5000):
+        labels = rng.integers(0, 2, size=n)
+        for scores in (rng.random(n), rng.integers(0, 40, size=n) / 7.0):
+            assert auc_roc(scores, labels) == loop_auc_roc(scores, labels)
+            assert auc_pr(scores, labels) == loop_auc_pr(scores, labels)
+
+
+def test_nan_score_is_a_numeric_error():
+    # NaN equals no score, so it would belong to no tie group; both metrics
+    # validate through `_validate`, which is called alone here
+    with pytest.raises(NumericError, match="1 of 3 scores are NaN"):
+        _validate([0.2, np.nan, 0.7], [1, 0, 1])

@@ -22,8 +22,10 @@ from capgraph.graph import (
     stratified_split,
 )
 from capgraph.metrics import auc_roc
+from capgraph import models
 from capgraph.models import (
     AdamState,
+    BlockOperator,
     ModelParameters,
     TrainConfig,
     adam_step,
@@ -562,6 +564,87 @@ def test_train_learns_planted_signal():
     losses = [e.train_loss for e in log[:20]]
     drops = sum(1 for a, b in zip(losses, losses[1:]) if b <= a + 1e-12)
     assert drops >= 15
+
+
+def _count_feature_products(monkeypatch, feats: np.ndarray) -> list[int]:
+    """Count the operator products applied to `feats` itself (the layer-1
+    aggregation) in a one-element list."""
+    calls = [0]
+    matmul = BlockOperator.__matmul__
+
+    def counting(self, x):
+        calls[0] += x is feats
+        return matmul(self, x)
+
+    monkeypatch.setattr(BlockOperator, "__matmul__", counting)
+    return calls
+
+
+def _node_training_case(kind: str, fanout: int | None = None):
+    task = _tiny_task(2)
+    split = stratified_split(task.labels, (0.8, 0.1, 0.1), 1)
+    aug = without_oversampling(task, split)
+    feats = np.random.default_rng(0).normal(0, 0.3, size=(aug.graph.num_nodes, 3))
+    return aug, feats, TrainConfig(max_epochs=12, patience=12, seed=5, fanout=fanout)
+
+
+@pytest.mark.parametrize("kind, fanout, per_epoch", [
+    ("graphsage", None, False), ("gcn", None, False), ("graphsage", 3, True),
+])
+def test_node_training_aggregates_the_features_once_per_run(monkeypatch, kind, fanout, per_epoch):
+    # fixed steps give a fixed layer-1 input; fanout draws new steps, so a
+    # new layer-1 input, every epoch
+    aug, feats, cfg = _node_training_case(kind, fanout)
+    calls = _count_feature_products(monkeypatch, feats)
+    _, log = train_node_classifier(aug, feats, aug.split, cfg, kind)
+    assert len(log) == cfg.max_epochs
+    assert calls[0] == (len(log) if per_epoch else 1)
+
+
+@pytest.mark.parametrize("kind", ["graphsage", "gcn"])
+def test_link_training_aggregates_the_features_once_per_run(monkeypatch, kind):
+    task = _tiny_task(4)
+    graph, _ = restore_target(task)
+    feats = np.random.default_rng(2).normal(0, 0.3, size=(graph.num_nodes, 3))
+    calls = _count_feature_products(monkeypatch, feats)
+    _, result = train_link_predictor(
+        graph, feats, [task.target_name], TrainConfig(max_epochs=12, patience=12, seed=0), kind
+    )
+    assert result.epochs_run == 12
+    assert calls[0] == 1  # the epochs and the final test encoding share it
+
+
+@pytest.mark.parametrize("kind", ["graphsage", "gcn"])
+def test_shared_layer_input_keeps_training_bit_identical(monkeypatch, kind):
+    aug, feats, cfg = _node_training_case(kind)
+    task = _tiny_task(4)
+    graph, _ = restore_target(task)
+    link_feats = np.random.default_rng(2).normal(0, 0.3, size=(graph.num_nodes, 3))
+
+    def train():
+        node = train_node_classifier(aug, feats, aug.split, cfg, kind)
+        link = train_link_predictor(graph, link_feats, [task.target_name], cfg, kind)
+        return [node[1], link[1]], [*node[0].weights(), *link[0].weights()]
+
+    shared_logs, shared_weights = train()
+    # every `encode` forms its own layer-1 input, as each epoch once did
+    encode_alone = models.encode
+    monkeypatch.setattr(models, "encode", lambda features, adjacency, params, steps=None, c1=None:
+                        encode_alone(features, adjacency, params, steps))
+    logs, weights = train()
+    assert shared_logs == logs
+    for a, b in zip(shared_weights, weights, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_shared_layer_input_is_read_only():
+    graph = random_bipartite_graph(np.random.default_rng(0), 4, 3, 0.6)
+    x = np.random.default_rng(1).normal(size=(7, 2))
+    layer, _ = models.neighbor_steps("graphsage", graph)
+    c1 = models.layer_input(x, layer)
+    assert not c1.flags.writeable
+    params = init_parameters("graphsage", 2, 4, np.random.default_rng(2))
+    assert np.array_equal(encode(x, graph, params, c1=c1).z2, encode(x, graph, params).z2)
 
 
 def test_inverse_frequency_weights():
