@@ -243,6 +243,16 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise for an --out that cannot become a writable directory, before any
+    run starts. Nothing is created: the directory is made once the runs return."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise DataError(f"{existing}: not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise DataError(f"{existing}: directory is not writable")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -277,23 +287,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = config["seed"]
     repeats = args.repeats
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    _write_json(out_dir / "config.json", {
-        **config, "command": "train", "target": args.target, "method": args.method,
-        "encoder": args.encoder, "task": getattr(args, "task", "node"), "repeats": repeats,
-    })
-
+    _check_out_dir(out_dir)
     if method.task == "link":
         results = [run_link(task, method, pipeline, seed + r) for r in range(repeats)]
-        report = MetricReport.from_repeats(results)
     else:
         artifacts = run_single(task, method, pipeline, seed)
         results = [artifacts.result]
         for r in range(1, repeats):
             results.append(run_single(task, method, pipeline, seed + r).result)
-        report = MetricReport.from_repeats(results)
+    report = MetricReport.from_repeats(results)
 
+    # the directory is made once the runs have returned, so a numeric failure leaves none
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "config.json", {
+        **config, "command": "train", "target": args.target, "method": args.method,
+        "encoder": args.encoder, "task": getattr(args, "task", "node"), "repeats": repeats,
+    })
+    if method.task == "node":
         write_graph_files(artifacts.aug.graph, out_dir / "nodes.tsv", out_dir / "edges.tsv")
         save_matrix(artifacts.features.features, out_dir / "features.bin")
         if artifacts.features.f1 is not None:
@@ -375,9 +385,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     task = mask_target(graph, args.target)
     spec = SweepSpec(axis=args.axis, values=values, repeats=args.repeats, base_seed=config["seed"])
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _check_out_dir(out_dir)
     cells = sweep(task, method, spec, pipeline)
-
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", {
         **config, "command": "sweep", "target": args.target, "method": args.method,
         "encoder": args.encoder, "axis": args.axis,
@@ -512,7 +522,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a diverging run reports itself once, as a numeric failure (exit 3),
+        # not first through numpy's overflow and invalid-value warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

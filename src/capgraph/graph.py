@@ -136,7 +136,7 @@ class Graph:
         self.num_edges: int = int(keys.size)
         self._ids: dict[tuple[bool, str], int] | None = None
         self._neighbors: tuple[tuple[int, ...], ...] | None = None
-        self._blocks: tuple[np.ndarray, ...] | None = None
+        self._blocks: tuple | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -193,11 +193,14 @@ class Graph:
         a[self.entry_rows(), self.indices] = 1.0
         return a
 
-    def adjacency_blocks(self, keep: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    def adjacency_blocks(self, keep: np.ndarray | None = None) -> tuple:
         """The adjacency as dense blocks (I, V, B, B_VI, C): manufacturer ids I,
         service ids V, B = A[I][:, V], B_VI = A[V][:, I] and C = A[V][:, V].
         There is no manufacturer-manufacturer block, so these hold all of A in
-        n_m*n_s + n_s^2 doubles (B_VI is a view of B.T).
+        n_m*n_s + n_s^2 doubles (B_VI is a view of B.T). I and V are each a
+        `slice` when their ids form one contiguous run (manufacturers first,
+        as `gen-planted` and `build --corpus` list them), so that `x[I]` is
+        a view; otherwise an ascending index array.
 
         `keep` (a mask over the CSR entries) restricts A to some entries of
         each row, a directed adjacency whose B_VI is then held apart. Without
@@ -223,7 +226,7 @@ class Graph:
         b = block(from_i, (n_i, n_v))
         c = block(~from_i & ~to_i, (n_v, n_v))
         b_vi = b.T if keep is None else block(~from_i & to_i, (n_v, n_i))
-        blocks = (_frozen(ids_i), _frozen(ids_v), b, b_vi, c)
+        blocks = (_id_run(ids_i), _id_run(ids_v), b, b_vi, c)
         if keep is None:
             self._blocks = blocks
         return blocks
@@ -244,6 +247,15 @@ class Graph:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _id_run(ids: np.ndarray) -> slice | np.ndarray:
+    """Ascending ids as a slice when they are one contiguous run (no ids are
+    the empty run), else the read-only array itself."""
+    start = int(ids[0]) if ids.size else 0
+    if ids.size == 0 or ids[-1] - start == ids.size - 1:
+        return slice(start, start + ids.size)
+    return _frozen(ids)
 
 
 def _check_edges(pairs: np.ndarray, is_manufacturer: np.ndarray) -> None:

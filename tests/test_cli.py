@@ -334,7 +334,8 @@ def test_train_run_dir_independent_of_blas_threads(tmp_path):
 @pytest.mark.parametrize("task", ["node", "link"])
 def test_train_diverged_model_exits_3(planted_dir, tmp_path, task):
     # the weights overflow to NaN; a NaN score is a numeric failure, where the
-    # AUC's tie search once looped forever (the timeout keeps a hang out of the suite)
+    # AUC's tie search once looped forever (the timeout keeps a hang out of the suite).
+    # The failure is its one line of stderr, and it leaves no output directory.
     src = str(Path(capgraph.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
@@ -345,7 +346,9 @@ def test_train_diverged_model_exits_3(planted_dir, tmp_path, task):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 3, done.stderr
-    assert "numeric failure:" in done.stderr and "scores are NaN" in done.stderr
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("numeric failure:") and "scores are NaN" in done.stderr
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_link_method_seng_rejected(planted_dir, tmp_path, capsys):
@@ -628,6 +631,54 @@ def test_sweep_cli_grid(planted_dir, tmp_path):
     assert {r["value"] for r in rows} == {"0.4", "1.0"}
     summary = json.loads((out / "summary.json").read_text())
     assert len(summary["cells"]) == 2
+
+
+def test_sweep_diverged_model_exits_3_without_output_dir(planted_dir, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep", "--nodes", str(planted_dir / "nodes.tsv"), "--edges", str(planted_dir / "edges.tsv"),
+        "--target", "target capability", "--method", "seng", "--axis", "os",
+        "--grid", "1.0", "--repeats", "3", "--lr", "1e308", "--out", str(out), *FAST_FLAGS,
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numeric failure:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "train-link", "sweep"])
+@pytest.mark.parametrize("where", ["file", "under-a-file", "unwritable"])
+def test_unusable_out_exits_2_before_any_run(planted_dir, tmp_path, capsys, monkeypatch, command, where):
+    # the directory is made only after the runs, but an --out that cannot be
+    # one is refused first, so no training time is lost to it
+    import capgraph.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for name in ("run_single", "run_link", "sweep"):
+        monkeypatch.setattr(cli, name, no_run)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out, message = {
+        "file": (blocker, f"{blocker}: not a directory"),
+        "under-a-file": (blocker / "run", f"{blocker}: not a directory"),
+        "unwritable": (tmp_path / "new" / "run", f"{tmp_path}: directory is not writable"),
+    }[where]
+    if where == "unwritable":  # a permission bit would not stop a superuser
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != tmp_path)
+    flags = {
+        "train": ["train"],
+        "train-link": ["train", "--task", "link", "--method", "plain"],
+        "sweep": ["sweep", "--method", "seng", "--axis", "os", "--grid", "1.0"],
+    }[command]
+    code = main([
+        *flags, "--nodes", str(planted_dir / "nodes.tsv"), "--edges", str(planted_dir / "edges.tsv"),
+        "--target", "target capability", "--out", str(out), *FAST_FLAGS,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+    assert not (tmp_path / "new").exists()
 
 
 def test_sweep_invalid_pairing_exit_1(planted_dir, tmp_path, capsys):

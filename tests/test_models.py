@@ -169,6 +169,48 @@ def test_block_operator_matches_dense_oracle(graph, width, seed):
         assert np.abs(op.T @ x - dense.T @ x).max(initial=0.0) <= 1e-12
 
 
+def _interleaved_and_ordered(seed: int) -> tuple[Graph, Graph, np.ndarray]:
+    """A random graph whose manufacturer ids I are split by services, the
+    same graph relabelled to manufacturers first, and the order that maps
+    the second's ids to the first's."""
+    rng = np.random.default_rng(seed)
+    kinds = rng.permutation([True] * 30 + [False] * 9)
+    nodes = [manufacturer(f"m{j}") if k else service(f"s{j}", ServiceCategory.PROCESS)
+             for j, k in enumerate(kinds)]
+    edges = [(u, v) for u in range(len(kinds)) for v in range(u + 1, len(kinds))
+             if not (kinds[u] and kinds[v]) and rng.random() < 0.3]
+    order = np.concatenate([np.flatnonzero(kinds), np.flatnonzero(~kinds)])
+    new_id = np.argsort(order)
+    ordered = Graph([nodes[j] for j in order], [(new_id[u], new_id[v]) for u, v in edges])
+    return Graph(nodes, edges), ordered, order
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("width", [1, 3, 16])
+def test_block_products_read_id_runs_as_the_gathered_ids(seed, width):
+    # manufacturers first: I and V are slices, read and written through views;
+    # interleaved: index arrays, gathered and scattered. Both must give the
+    # same bits, rows permuted.
+    interleaved, ordered, order = _interleaved_and_ordered(seed)
+    ids_i, ids_v = interleaved.adjacency_blocks()[:2]
+    assert not isinstance(ids_i, slice) and not isinstance(ids_v, slice)
+    assert ordered.adjacency_blocks()[:2] == (slice(0, 30), slice(30, 39))
+    x = np.random.default_rng(seed + 10).normal(size=(interleaved.num_nodes, width))
+    for build in (adjacency_operator, mean_aggregation_matrix, gcn_propagation_matrix):
+        split_op, run_op = build(interleaved), build(ordered)
+        for a, b in ((split_op, run_op), (split_op.T, run_op.T)):
+            assert (a @ x)[order].tobytes() == (b @ x[order]).tobytes(), build.__name__
+
+
+def test_block_operator_of_a_dense_array_reads_no_index_arrays():
+    a = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
+    op = adjacency_operator(a)
+    assert (op.ids_i, op.ids_v) == (slice(0, 0), slice(0, 3))
+    assert op.c is a  # used as it is, no copy
+    x = np.arange(6.0).reshape(3, 2)
+    assert np.array_equal(op @ x, a @ x) and np.array_equal(op.T @ x, a.T @ x)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_graphs(), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_fanout_sampling_keeps_true_neighbors(graph, fanout, seed):
@@ -689,10 +731,33 @@ def test_link_split_contract():
     for pool in (ls.neg_train, ls.neg_valid, ls.neg_test):
         for m, t in pool:
             assert (min(m, t), max(m, t)) not in edges
-    # held-out positives removed from the message graph
+    # held-out positives removed from the message graph, every other edge kept
     msg = set(map(tuple, ls.message_edges.tolist()))
-    for m, t in [*map(tuple, ls.pos_valid), *map(tuple, ls.pos_test)]:
+    held_out = [*map(tuple, ls.pos_valid.tolist()), *map(tuple, ls.pos_test.tolist())]
+    for m, t in held_out:
         assert (m, t) not in msg and (t, m) not in msg
+    assert msg == edges - {(min(m, t), max(m, t)) for m, t in held_out}
+    assert len(ls.message_edges) == len(msg)
+
+
+def test_link_split_draws_the_row_shuffle_permutation():
+    # the split's pairs are the sorted pairs in the order rng.shuffle gives
+    # them, and the generator is left where rng.shuffle leaves it
+    task = _tiny_task(3)
+    graph, target = restore_target(task)
+    rng = np.random.default_rng(11)
+    ls = split_link_edges(graph, [task.target_name], (0.8, 0.1, 0.1), rng)
+    oracle = np.random.default_rng(11)
+    linked = np.zeros(graph.num_nodes, dtype=bool)
+    linked[graph.neighbor_ids(target)] = True
+    manufacturers = np.flatnonzero(graph.is_manufacturer)
+    pos, neg = (np.column_stack([ms, np.full(ms.size, target)])
+                for ms in (manufacturers[linked[manufacturers]], manufacturers[~linked[manufacturers]]))
+    oracle.shuffle(pos)
+    oracle.shuffle(neg)
+    assert np.array_equal(np.vstack([ls.pos_train, ls.pos_valid, ls.pos_test]), pos)
+    assert np.array_equal(np.vstack([ls.neg_train, ls.neg_valid, ls.neg_test]), neg[: len(pos)])
+    assert rng.random() == oracle.random()
 
 
 def test_link_predictor_learns_planted_rule():
@@ -720,6 +785,39 @@ def test_link_predictor_too_few_positives():
     g = Graph(nodes, [(0, 12), (1, 12)])
     with pytest.raises(DataError, match="at least 10"):
         train_link_predictor(g, np.zeros((13, 3)), ["t"], TrainConfig(max_epochs=1))
+
+
+def _row_scatter_gradient(h, pairs, y):
+    """The pair-BCE gradient with one row-wise `np.add.at` per endpoint."""
+    scores = np.clip(_pair_scores(h, pairs), models.PROB_CLAMP, 1.0 - models.PROB_CLAMP)
+    dz = (scores - y) / len(y)
+    d_h = np.zeros_like(h)
+    np.add.at(d_h, pairs[:, 0], dz[:, None] * h[pairs[:, 1]])
+    np.add.at(d_h, pairs[:, 1], dz[:, None] * h[pairs[:, 0]])
+    return d_h
+
+
+@st.composite
+def _pair_gradient_inputs(draw):
+    """Embeddings with signed zeros and exact ties, and pairs that repeat
+    endpoints (a node may even pair with itself)."""
+    p, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                       st.floats(-3.0, 3.0, allow_nan=False))
+    h = np.array(draw(st.lists(values, min_size=p * d, max_size=p * d))).reshape(p, d)
+    n = draw(st.integers(1, 12))
+    pairs = np.array(draw(st.lists(st.integers(0, p - 1), min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    return h, pairs, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_gradient_inputs(), st.booleans())
+def test_link_embedding_gradient_matches_the_row_scatter_bit_for_bit(case, fortran):
+    # a Fortran-ordered h too: its gradient must not land in a flat copy
+    h, pairs, y = case
+    got = link_embedding_gradient(np.asfortranarray(h) if fortran else h, pairs, y)
+    assert got.tobytes() == _row_scatter_gradient(h, pairs, y).tobytes()
 
 
 _LINK_PAIRS = np.array([[0, 3], [1, 4], [2, 5], [0, 4], [1, 5], [2, 3]])
