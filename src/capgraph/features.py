@@ -112,19 +112,33 @@ def train_paragraph_vectors(
     One row per paragraph, in mapping order. A paragraph visit pairs the
     paragraph vector v with each of its tokens (label 1) and with
     `negatives` noise words per token (label 0); a noise word equal to its
-    token is dropped. With u and v read at the start of the visit, each
-    distinct word w of the visit, with M_w pairs of which P_w positive,
-    takes the sum of its pairs' SGD steps, u_w += a (P_w - M_w s(u_w . v)) v,
-    and v takes the mean of its steps over the visit's positive tokens,
-    v += sum_w a (P_w - M_w s(u_w . v)) u_w / tokens. So a repeated token
-    does not multiply the paragraph step, and the vectors stay bounded.
-    The learning rate a decays linearly over visits. Empty paragraphs are
-    skipped and map to the zero vector.
+    token is dropped. Each epoch visits the non-empty paragraphs in order,
+    a block of max(1, `_COUNT_CELLS` // vocabulary) visits at a time (128
+    at 128 words), and applies a block in one step, every pair scored
+    against the vectors at the block's start. With V the block's paragraph
+    rows, U the rows of the words paired in it, M and P each visit's count
+    of pairs and of positive pairs per word, and a each visit's learning
+    rate, S = a P - (a M / 2)(1 + tanh(V U^T / 2)) holds each visit's summed
+    pair steps a (P - M s(u . v)) per word. Then V += S U / tokens, the
+    mean over each visit's positive tokens, so a repeated token does not
+    multiply the paragraph step and the vectors stay bounded; and
+    U += S^T V, each word's steps summed across the block. One visit per
+    block, which a vocabulary of 16,384 words or more gets, is the
+    per-visit update of earlier builds; on smaller vocabularies their SF
+    and FA `features.bin` does not reproduce. The learning rate decays
+    linearly over visits. Empty paragraphs are skipped and map to the zero
+    vector.
+
+    The block products are BLAS matrix products; their result must not
+    depend on the BLAS thread count, as t-SNE's does not. The tests in
+    `tests/test_features.py` check the output byte for byte under one and
+    two BLAS threads, and against a per-pair loop whose visits read their
+    block's starting vectors, at several block sizes.
 
     Noise words are drawn by inverse-CDF search over the unigram^0.75 table
     through an O(vocabulary) bucket table, one block of visits' draws at a
     time: exactly the words `Generator.choice(p=...)` draws from the stream,
-    which the generator yields in order, so the block size does not matter.
+    which the generator yields in order.
     """
     EmbeddingConfig(dim, epochs, learning_rate, negatives)
     keys = list(paragraphs)
@@ -156,42 +170,37 @@ def train_paragraph_vectors(
     nonempty = [r for r, ids in enumerate(encoded) if ids.size]
     per_block = max(1, _COUNT_CELLS // n_words)
     # a visit's pairs are counted per distinct word in cells visit * n_words + word
-    blocks = []  # per block: its first visit in the epoch, its rows, their tokens, each token's first cell
+    blocks = []  # per block: its first visit in the epoch, its rows, their tokens, each token's first cell, token counts
     for b in range(0, len(nonempty), per_block):
         rows = nonempty[b:b + per_block]
-        owner = np.repeat(np.arange(len(rows)) * n_words, [encoded[r].size for r in rows])
-        blocks.append((b, rows, np.concatenate([encoded[r] for r in rows]), owner))
+        sizes = [encoded[r].size for r in rows]
+        owner = np.repeat(np.arange(len(rows)) * n_words, sizes)
+        blocks.append((b, rows, np.concatenate([encoded[r] for r in rows]), owner, np.array(sizes, float)[:, None]))
     total_visits = epochs * len(nonempty)
     min_alpha = learning_rate * 1e-4
     for epoch in range(epochs):
-        for first, rows, pos, owner in blocks:
+        for first, rows, pos, owner, tokens in blocks:
             neg = draw_noise(rng.random((pos.size, negatives)))
             keep = neg != pos[:, None]  # a noise word equal to its token is dropped
             cells = len(rows) * n_words
-            positive = np.bincount(owner + pos, minlength=cells)
-            pairs = positive + np.bincount((owner[:, None] + neg)[keep], minlength=cells)
-            hit = np.flatnonzero(pairs)
-            bounds = hit.searchsorted(np.arange(len(rows) + 1) * n_words).tolist()
-            words = hit % n_words
+            positive = np.bincount(owner + pos, minlength=cells).reshape(-1, n_words)
+            pairs = positive + np.bincount((owner[:, None] + neg)[keep], minlength=cells).reshape(-1, n_words)
+            words = np.flatnonzero(pairs.any(axis=0))  # the words paired in the block
             visit = epoch * len(nonempty) + first + np.arange(len(rows))
-            alpha = np.maximum(min_alpha, learning_rate * (1.0 - visit / total_visits))[hit // n_words]
-            # a (P - M s(x)) with s(x) = (1 + tanh(x / 2)) / 2: a (P - M / 2) - (a M / 2) tanh(x / 2)
-            half = 0.5 * alpha * pairs[hit]
-            base = alpha * positive[hit] - half
-            for i, row in enumerate(rows):
-                at = slice(bounds[i], bounds[i + 1])
-                w = words[at]
-                v = vectors[row]
-                u = word_out[w]
-                step = u @ v  # becomes M_w times the mean pair step, in place
-                np.multiply(step, 0.5, out=step)
-                np.tanh(step, out=step)
-                np.multiply(step, half[at], out=step)
-                np.subtract(base[at], step, out=step)
-                dv = step @ u
-                np.add(u, np.einsum("i,j->ij", step, v), out=u)
-                word_out[w] = u  # each distinct word once
-                np.add(v, dv / encoded[row].size, out=v)
+            alpha = np.maximum(min_alpha, learning_rate * (1.0 - visit / total_visits))[:, None]
+            # S = a (P - M s(x)) with s(x) = (1 + tanh(x / 2)) / 2: a P - (a M / 2) (1 + tanh(x / 2))
+            half = 0.5 * alpha * pairs[:, words]
+            base = alpha * positive[:, words]
+            v = vectors[rows]
+            u = word_out[words]
+            step = v @ u.T  # becomes S, in place
+            np.multiply(step, 0.5, out=step)
+            np.tanh(step, out=step)
+            np.add(step, 1.0, out=step)
+            np.multiply(step, half, out=step)
+            np.subtract(base, step, out=step)
+            vectors[rows] = v + step @ u / tokens
+            word_out[words] = u + step.T @ v
     return vectors
 
 

@@ -2,8 +2,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,10 +67,11 @@ def _sigmoid_oracle(z):
     return out
 
 
-def _pv_pair_loop(paragraphs, dim, epochs, learning_rate=0.025, negatives=5, seed=0):
+def _pv_pair_loop(paragraphs, dim, epochs, visits_per_block, learning_rate=0.025, negatives=5, seed=0):
     """PV-DBOW one (paragraph, word) pair at a time: every pair of a visit is
-    scored against the visit's starting vectors, each word takes the sum of
-    its pairs' steps and the paragraph the mean over its positive tokens."""
+    scored against the vectors at the start of its block of visits, each word
+    takes the sum of its pairs' steps across the block and the paragraph the
+    mean over its positive tokens. One visit per block is the per-visit update."""
     keys = list(paragraphs)
     token_lists = [list(paragraphs[k]) for k in keys]
     vocab = sorted({tok for toks in token_lists for tok in toks})
@@ -91,13 +97,14 @@ def _pv_pair_loop(paragraphs, dim, epochs, learning_rate=0.025, negatives=5, see
     min_alpha = learning_rate * 1e-4
     visit = 0
     for _ in range(epochs):
-        for row in nonempty:
+        for at, row in enumerate(nonempty):
             alpha = max(min_alpha, learning_rate * (1.0 - visit / total_visits))
             visit += 1
             pos = encoded[row]
             neg = rng.choice(len(vocab), size=(pos.size, negatives), p=noise)
-            v = vectors[row].copy()
-            u = word_out.copy()
+            v = vectors[row].copy()  # a block visits each paragraph once
+            if at % visits_per_block == 0:
+                u = word_out.copy()
             dv = np.zeros(dim)
             for k, word in enumerate(pos):
                 pairs = [(word, 1.0)] + [(noise_word, 0.0) for noise_word in neg[k] if noise_word != word]
@@ -338,7 +345,7 @@ def test_sigmoid_matches_oracle_bitwise():
     assert _sigmoid(z[:12].reshape(3, 4)).shape == (3, 4)
 
 
-def test_doc2vec_matches_pair_loop():
+def test_doc2vec_matches_pair_loop(monkeypatch):
     # empty paragraphs, repeated tokens, and a 3-word vocabulary so that most
     # noise draws collide with their positive and are dropped
     paragraphs = {
@@ -349,13 +356,19 @@ def test_doc2vec_matches_pair_loop():
         4: [],
         5: ["z", "z", "z", "z", "y"],
     }
-    for seed in (0, 3):
-        got = train_paragraph_vectors(paragraphs, dim=7, epochs=6, negatives=4, seed=seed)
-        expected = _pv_pair_loop(paragraphs, dim=7, epochs=6, negatives=4, seed=seed)
-        assert np.abs(got - expected).max() < 1e-12
-    corpus, _ = _cluster_corpus(seed=2)
-    got = train_paragraph_vectors(corpus, dim=16, epochs=5, seed=8)
-    assert np.abs(got - _pv_pair_loop(corpus, dim=16, epochs=5, seed=8)).max() < 1e-12
+    tagged = _tagged_corpus(n=25, seed=3)
+    tagged[7] = []
+    cases = [(paragraphs, dict(dim=7, epochs=6, negatives=4, seed=seed)) for seed in (0, 3)]
+    cases += [(_cluster_corpus(seed=2)[0], dict(dim=16, epochs=5, seed=8)), (tagged, dict(dim=8, epochs=3, seed=4))]
+    default = features._COUNT_CELLS
+    for corpus, settings in cases:
+        n_words = len({tok for toks in corpus.values() for tok in toks})
+        # the default budget, one visit per block (also below one visit's cells), and partial last blocks
+        for cells in (default, n_words, 1, 2 * n_words + 1, 7 * n_words):
+            monkeypatch.setattr(features, "_COUNT_CELLS", cells)
+            got = train_paragraph_vectors(corpus, **settings)
+            expected = _pv_pair_loop(corpus, visits_per_block=max(1, cells // n_words), **settings)
+            assert np.abs(got - expected).max() < 1e-12, cells
 
 
 def _tagged_corpus(n=60, seed=0):
@@ -369,6 +382,34 @@ def _tagged_corpus(n=60, seed=0):
     return paragraphs
 
 
+def _blocked_corpus(n=400, n_words=128, seed=0):
+    """Zipf-drawn paragraphs over exactly `n_words` words."""
+    rng = np.random.default_rng(seed)
+    paragraphs = {j: [f"t{k}" for k in np.minimum(rng.zipf(1.3, size=40), n_words) - 1] for j in range(n)}
+    paragraphs[0] += [f"t{k}" for k in range(n_words)]
+    return paragraphs
+
+
+def test_doc2vec_independent_of_blas_threads():
+    # each block is three BLAS matrix products, large enough at 128 visits by
+    # 128 words by width 64 for the BLAS to split them over its threads
+    corpus = _blocked_corpus()
+    n_words = len({tok for toks in corpus.values() for tok in toks})
+    assert features._COUNT_CELLS // n_words == 128 and len(corpus) > 3 * 128  # four blocks
+    src = str(Path(features.__file__).resolve().parents[1])
+    script = ("import hashlib, json, sys; from capgraph.features import train_paragraph_vectors; "
+              "corpus = {int(k): v for k, v in json.load(sys.stdin).items()}; "
+              "print(hashlib.sha256(train_paragraph_vectors(corpus, dim=64, epochs=3, seed=1).tobytes()).hexdigest())")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], input=json.dumps(corpus), env=env,
+                              check=True, capture_output=True, text=True)
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
+
+
 def test_doc2vec_row_norms_stay_bounded():
     f1 = train_paragraph_vectors(_tagged_corpus(), dim=32, epochs=40, seed=0)
     assert np.linalg.norm(f1, axis=1).max() < 5.0
@@ -379,16 +420,6 @@ def test_doc2vec_learning_rate_nudge_moves_output_little():
     a = train_paragraph_vectors(corpus, dim=32, epochs=40, learning_rate=0.025, seed=2)
     b = train_paragraph_vectors(corpus, dim=32, epochs=40, learning_rate=0.025 * (1 + 1e-12), seed=2)
     assert np.abs(a - b).max() < 1e-9
-
-
-def test_doc2vec_does_not_depend_on_draw_block_size(monkeypatch):
-    corpus = _tagged_corpus(n=25, seed=3)
-    corpus[7] = []
-    expected = train_paragraph_vectors(corpus, dim=8, epochs=3, seed=4)
-    n_words = len({tok for toks in corpus.values() for tok in toks})
-    for visits in (1, 2, 7):  # visits per block
-        monkeypatch.setattr(features, "_COUNT_CELLS", visits * n_words)
-        assert np.array_equal(train_paragraph_vectors(corpus, dim=8, epochs=3, seed=4), expected)
 
 
 def _unigram_cdf(counts):
