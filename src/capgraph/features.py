@@ -181,10 +181,14 @@ def train_paragraph_vectors(
     for epoch in range(epochs):
         for first, rows, pos, owner, tokens in blocks:
             neg = draw_noise(rng.random((pos.size, negatives)))
-            keep = neg != pos[:, None]  # a noise word equal to its token is dropped
             cells = len(rows) * n_words
-            positive = np.bincount(owner + pos, minlength=cells).reshape(-1, n_words)
-            pairs = positive + np.bincount((owner[:, None] + neg)[keep], minlength=cells).reshape(-1, n_words)
+            token_cells = owner + pos
+            positive = np.bincount(token_cells, minlength=cells).reshape(-1, n_words)
+            # every noise cell counted, less each noise word equal to its token, which is dropped
+            dropped = token_cells[np.flatnonzero(neg == pos[:, None]) // negatives]
+            noise_pairs = np.bincount((owner[:, None] + neg).ravel(), minlength=cells)
+            noise_pairs -= np.bincount(dropped, minlength=cells)
+            pairs = positive + noise_pairs.reshape(-1, n_words)
             words = np.flatnonzero(pairs.any(axis=0))  # the words paired in the block
             visit = epoch * len(nonempty) + first + np.arange(len(rows))
             alpha = np.maximum(min_alpha, learning_rate * (1.0 - visit / total_visits))[:, None]

@@ -16,6 +16,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import compress, count, repeat
 from operator import attrgetter, eq, is_, is_not
 from pathlib import Path
@@ -47,16 +48,11 @@ class ServiceCategory(Enum):
     CERTIFICATION = "certification"
 
 
-# Type code per node kind: manufacturers 0, then the four service categories.
-_CATEGORY_CODE = {
-    ServiceCategory.INDUSTRY: 1,
-    ServiceCategory.PROCESS: 2,
-    ServiceCategory.MATERIAL: 3,
-    ServiceCategory.CERTIFICATION: 4,
-}
+# Type code per node kind: manufacturers 0, then the four service categories 1-4 in the order above.
+_CATEGORY_CODE = {category: code for code, category in enumerate(ServiceCategory, start=1)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeKind:
     """Identity of one node: manufacturer or service, with category and display name."""
 
@@ -96,46 +92,23 @@ class Graph:
 
     Construction validates endpoints, rejects self-loops and
     manufacturer-manufacturer edges, and collapses duplicate edges. The
-    adjacency is held in CSR form: node u's neighbors are
-    `indices[indptr[u]:indptr[u + 1]]`, in ascending order.
-    """
-
-    __slots__ = ("nodes", "is_manufacturer", "indptr", "indices", "num_edges",
-                 "_ids", "_neighbors", "_blocks")
+    graph is its edge keys: each edge (u, v), u < v, once as u * p + v,
+    ascending. The CSR form (node u's neighbors are `indices[indptr[u]:
+    indptr[u + 1]]`, ascending) is derived from them on first use."""
 
     def __init__(self, nodes: Sequence[NodeKind], edges: Iterable[tuple[int, int]] | np.ndarray):
         self.nodes: tuple[NodeKind, ...] = tuple(nodes)
         p = len(self.nodes)
-        kinds = map(attrgetter("kind"), self.nodes)
-        self.is_manufacturer = _frozen(
-            np.fromiter(map(is_, kinds, repeat(Kind.MANUFACTURER)), dtype=bool, count=p)
-        )
-        pairs = edges if isinstance(edges, np.ndarray) else np.array(list(edges), dtype=np.int64)
-        pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
+        kinds = map(is_, map(attrgetter("kind"), self.nodes), repeat(Kind.MANUFACTURER))
+        self.is_manufacturer = _frozen(np.fromiter(kinds, dtype=bool, count=p))
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64).reshape(-1, 2)
         _check_edges(pairs, self.is_manufacturer)
-        # each undirected edge once as the key lo * p + hi, sorted and deduplicated;
-        # the files write_graph_files writes hold them so already
-        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
-        keys = lo * p + hi
-        if not (np.diff(keys) > 0).all():
-            keys = np.sort(keys)
+        keys = np.minimum(pairs[:, 0], pairs[:, 1]) * p + np.maximum(pairs[:, 0], pairs[:, 1])
+        if not (keys[1:] > keys[:-1]).all():  # edges in ascending order, as edge files hold them, skip the sort
+            keys.sort()  # not np.unique: it hashes before it sorts, 20x slower on 127,000 keys
             keys = keys[np.diff(keys, prepend=-1) != 0]
-            lo = keys // p
-            hi = keys - lo * p
-        # CSR: row r lists the lo of each edge (lo, r), then the hi of each
-        # edge (r, hi), both ascending. The keys give the second list in
-        # order already; the first comes from sorting the reversed keys.
-        below, above = np.bincount(hi, minlength=p), np.bincount(lo, minlength=p)
-        lower = np.sort(hi * p + lo)  # r * p + lo for each edge (lo, r)
-        is_lower = np.repeat(np.tile([True, False], p), np.column_stack([below, above]).ravel())
-        indices = np.empty(2 * keys.size, dtype=np.int64)
-        indices[is_lower] = lower - lower // p * p
-        indices[~is_lower] = hi
-        self.indices = _frozen(indices)
-        self.indptr = _frozen(np.concatenate([[0], np.cumsum(below + above)]))
-        self.num_edges: int = int(keys.size)
-        self._ids: dict[tuple[bool, str], int] | None = None
-        self._neighbors: tuple[tuple[int, ...], ...] | None = None
+        self.keys = _frozen(keys)
+        self.num_edges: int = keys.size
         self._blocks: tuple | None = None
 
     @property
@@ -143,12 +116,31 @@ class Graph:
         return len(self.nodes)
 
     @property
+    def indptr(self) -> np.ndarray:
+        return self._csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._csr[1]
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): row r holds lo of each edge (lo, r), then hi of each edge (r, hi)."""
+        p = self.num_nodes
+        lo, hi = self.edge_array().T
+        below, above = np.bincount(hi, minlength=p), np.bincount(lo, minlength=p)
+        lower = np.sort(hi * p + lo)  # r * p + lo for each edge (lo, r)
+        is_lower = np.repeat(np.tile([True, False], p), np.column_stack([below, above]).ravel())
+        indices = np.empty(2 * lo.size, dtype=np.int64)
+        indices[is_lower] = lower % p
+        indices[~is_lower] = hi
+        return _frozen(np.concatenate([[0], np.cumsum(below + above)])), _frozen(indices)
+
+    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Per node, the ascending tuple of its neighbor ids."""
-        if self._neighbors is None:
-            flat, bounds = self.indices.tolist(), self.indptr.tolist()
-            self._neighbors = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-        return self._neighbors
+        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def neighbor_ids(self, node: int) -> np.ndarray:
         """Node's neighbors as an ascending int64 array (a view of `indices`)."""
@@ -159,10 +151,10 @@ class Graph:
         return np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
 
     def edge_array(self) -> np.ndarray:
-        """(num_edges, 2) int64 array of the edges (u, v), u < v, in ascending order."""
-        rows = self.entry_rows()
-        upper = rows < self.indices
-        return np.column_stack([rows[upper], self.indices[upper]])
+        """(num_edges, 2) read-only int64 array of the edges (u, v), u < v, ascending."""
+        edges = np.empty((self.num_edges, 2), dtype=np.int64)
+        np.divmod(self.keys, self.num_nodes, out=(edges[:, 0], edges[:, 1]))  # no temporaries to fragment the heap
+        return _frozen(edges)
 
     def manufacturer_ids(self) -> list[int]:
         return np.flatnonzero(self.is_manufacturer).tolist()
@@ -181,16 +173,15 @@ class Graph:
         return self._find(True, name)
 
     def _find(self, is_manufacturer: bool, name: str) -> int | None:
-        """The first node of that kind and name; the index is built on first use."""
-        if self._ids is None:
-            keys = list(zip(self.is_manufacturer.tolist(), map(attrgetter("name"), self.nodes)))
-            self._ids = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # the first one wins
-        return self._ids.get((is_manufacturer, name))
+        """The first node of that kind and name: a scan, with no index to build."""
+        named = compress(count(), map(eq, map(attrgetter("name"), self.nodes), repeat(name)))
+        return next((at for at in named if self.is_manufacturer[at] == is_manufacturer), None)
 
     def dense_adjacency(self) -> np.ndarray:
         """Symmetric 0/1 adjacency matrix with zero diagonal, float64."""
         a = np.zeros((self.num_nodes, self.num_nodes), dtype=np.float64)
-        a[self.entry_rows(), self.indices] = 1.0
+        lo, hi = self.edge_array().T
+        a[lo, hi] = a[hi, lo] = 1.0
         return a
 
     def adjacency_blocks(self, keep: np.ndarray | None = None) -> tuple:
@@ -202,46 +193,47 @@ class Graph:
         as `gen-planted` and `build --corpus` list them), so that `x[I]` is
         a view; otherwise an ascending index array.
 
-        `keep` (a mask over the CSR entries) restricts A to some entries of
-        each row, a directed adjacency whose B_VI is then held apart. Without
-        it the blocks are built on the first call and kept."""
+        Without `keep` the blocks are scattered from the edge keys (each edge
+        once into B, or both ways into C) on the first call and kept. `keep`, a
+        mask over the CSR entries, restricts A to some entries of each row: a
+        directed adjacency, whose B_VI is held apart."""
         if keep is None and self._blocks is not None:
             return self._blocks
         man = self.is_manufacturer
-        rows, cols = self.entry_rows(), self.indices
-        if keep is not None:
-            rows, cols = rows[keep], cols[keep]
         ids_i, ids_v = np.flatnonzero(man), np.flatnonzero(~man)
         pos = np.empty(self.num_nodes, dtype=np.int64)
-        pos[ids_i] = np.arange(ids_i.size)
-        pos[ids_v] = np.arange(ids_v.size)
-        from_i, to_i = man[rows], man[cols]
+        pos[ids_i], pos[ids_v] = np.arange(ids_i.size), np.arange(ids_v.size)
 
-        def block(hit: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+        def block(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
             out = np.zeros(shape)
-            out[pos[rows[hit]], pos[cols[hit]]] = 1.0
+            out[pos[rows], pos[cols]] = 1.0
             return _frozen(out)
 
         n_i, n_v = ids_i.size, ids_v.size
-        b = block(from_i, (n_i, n_v))
-        c = block(~from_i & ~to_i, (n_v, n_v))
-        b_vi = b.T if keep is None else block(~from_i & to_i, (n_v, n_i))
-        blocks = (_id_run(ids_i), _id_run(ids_v), b, b_vi, c)
         if keep is None:
-            self._blocks = blocks
-        return blocks
+            lo, hi = self.edge_array().T
+            flip = man[hi]  # a manufacturer listed after its service: B's row is hi
+            at_i = flip | man[lo]
+            if flip.any():
+                lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+            vv = ~at_i
+            b = block(lo[at_i], hi[at_i], (n_i, n_v))
+            self._blocks = (_id_run(ids_i), _id_run(ids_v), b, b.T,
+                            block(np.append(lo[vv], hi[vv]), np.append(hi[vv], lo[vv]), (n_v, n_v)))
+            return self._blocks
+        rows, cols = self.entry_rows()[keep], self.indices[keep]
+        from_i, to_i = man[rows], man[cols]
+        vi, vv = ~from_i & to_i, ~from_i & ~to_i
+        return (_id_run(ids_i), _id_run(ids_v), block(rows[from_i], cols[from_i], (n_i, n_v)),
+                block(rows[vi], cols[vi], (n_v, n_i)), block(rows[vv], cols[vv], (n_v, n_v)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-        )
+        return self.nodes == other.nodes and np.array_equal(self.keys, other.keys)
 
     def __hash__(self) -> int:
-        return hash((self.nodes, self.indptr.tobytes(), self.indices.tobytes()))
+        return hash((self.nodes, self.keys.tobytes()))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -385,7 +377,10 @@ _NODE_TYPES = {
 def _read_nodes(path: Path) -> list[NodeKind]:
     """The nodes of a node file, its lines in any order, by id."""
     linenos, (raw_ids, kinds, categories, names), error = _records(path, 4, "node file")
-    ids = list(map(_integer, raw_ids))
+    try:
+        ids = list(map(int, raw_ids))
+    except ValueError:  # each id alone, for the check that names the bad one
+        ids = list(map(_integer, raw_ids))
     types = list(map(_NODE_TYPES.get, zip(kinds, categories)))
     _raise_first("node file", linenos, [
         (list(map(is_not, ids, repeat(None))), lambda k: f"bad node id {raw_ids[k]!r}"),
@@ -400,12 +395,12 @@ def _read_nodes(path: Path) -> list[NodeKind]:
         raise DataError(f"node file {path} is empty")
     if min(ids) != 0 or max(ids) != p - 1:  # the ids are distinct
         raise DataError(f"node ids must be contiguous 0..{p - 1}")
-    # the checks left valid (kind, category) pairs and names without tab or
-    # newline, so these nodes are made without NodeKind's per-node checks
+    # the checks left valid (kind, category) pairs and names without tab or newline, so these
+    # nodes are made without NodeKind's per-node checks, one slot at a time, in line order
     nodes = list(map(object.__new__, repeat(NodeKind, p)))
-    for i, (kind, category), name in zip(ids, types, names):
-        object.__setattr__(nodes[i], "__dict__", {"kind": kind, "category": category, "name": name})
-    return nodes
+    for slot, values in zip((NodeKind.kind, NodeKind.category, NodeKind.name), (*zip(*types), names)):
+        list(map(slot.__set__, nodes, values))
+    return nodes if ids == list(range(p)) else [nodes[k] for k in sorted(range(p), key=ids.__getitem__)]
 
 
 def load_graph(node_file: Path | str, edge_file: Path | str) -> Graph:
@@ -435,7 +430,7 @@ def load_graph(node_file: Path | str, edge_file: Path | str) -> Graph:
         raise DataError(f"edge file line {line}: {fault}") from None
 
 
-_CHUNK_BYTES = 1 << 18
+_CHUNK_BYTES = 1 << 16  # small chunks keep the temporaries of each pass small
 _RUN_MASKS = np.array([2**64 - 2 ** (64 - 8 * n) for n in range(9)], dtype=np.uint64)  # the top n bytes
 
 
@@ -630,14 +625,14 @@ def mask_target(graph: Graph, target: str) -> LabeledTask:
         raise DataError(f"target service {target!r} not found")
     target_node = graph.nodes[target_id]
 
-    # Reindex: nodes above the target shift down by one.
+    # Reindex: nodes above the target shift down by one, which keeps the edges in key order.
     nodes = graph.nodes[:target_id] + graph.nodes[target_id + 1 :]
     edges = graph.edge_array()
-    edges = edges[(edges != target_id).all(axis=1)]
+    at_target = edges == target_id
+    neighbors = edges[at_target[:, ::-1] & graph.is_manufacturer[edges]]  # manufacturer ends of target edges, ascending
+    edges = edges[~at_target.any(axis=1)]
     masked = Graph(nodes, edges - (edges > target_id))
 
-    neighbors = graph.neighbor_ids(target_id)
-    neighbors = neighbors[graph.is_manufacturer[neighbors]]
     positives = (neighbors - (neighbors > target_id)).tolist()
     labels = np.zeros(masked.num_nodes, dtype=np.int64)
     labels[positives] = 1
@@ -649,11 +644,16 @@ def mask_target(graph: Graph, target: str) -> LabeledTask:
 def restore_target(task: LabeledTask) -> tuple[Graph, int]:
     """Rebuild the unmasked graph by re-adding the target node (appended last)
     and its manufacturer edges. Returns (graph, target id)."""
-    nodes = list(task.graph.nodes)
-    target_id = len(nodes)
-    nodes.append(service(task.target_name, task.target_category))
-    added = np.array([(m, target_id) for m, _ in task.removed_edges], dtype=np.int64)
-    return Graph(nodes, np.vstack([task.graph.edge_array(), added.reshape(-1, 2)])), target_id
+    nodes = [*task.graph.nodes, service(task.target_name, task.target_category)]
+    target_id = len(nodes) - 1
+    added = np.array([(m, target_id) for m, _ in task.removed_edges], dtype=np.int64).reshape(-1, 2)
+    return Graph(nodes, append_edges(task.graph.edge_array(), added)), target_id
+
+
+def append_edges(edges: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """Ascending edges (u, v), u < v, merged with the ascending edges `added`, whose v lies
+    above every id in `edges`: each goes behind the edges of its u, so the merge needs no sort."""
+    return np.insert(edges, np.searchsorted(edges[:, 0], added[:, 0], side="right"), added, axis=0)
 
 
 @dataclass(frozen=True)

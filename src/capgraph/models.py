@@ -655,13 +655,11 @@ def split_link_edges(
 
     neg = neg[rng.permutation(len(neg))[: len(pos)]]
 
-    p = graph.num_nodes
-    edges = graph.edge_array()
     # the edge keys ascend and every held-out positive is an edge, so a
     # binary search finds each one's row
-    held_out = pos[n_tr:].min(axis=1) * p + pos[n_tr:].max(axis=1)
-    kept = np.ones(len(edges), dtype=bool)
-    kept[np.searchsorted(edges[:, 0] * p + edges[:, 1], held_out)] = False
+    held_out = pos[n_tr:].min(axis=1) * graph.num_nodes + pos[n_tr:].max(axis=1)
+    kept = np.ones(graph.num_edges, dtype=bool)
+    kept[np.searchsorted(graph.keys, held_out)] = False
     return LinkSplit(
         pos_train=pos[:n_tr],
         pos_valid=pos[n_tr : n_tr + n_va],
@@ -669,7 +667,7 @@ def split_link_edges(
         neg_train=neg[:n_tr],
         neg_valid=neg[n_tr : n_tr + n_va],
         neg_test=neg[n_tr + n_va :],
-        message_edges=edges[kept],
+        message_edges=np.column_stack(np.divmod(graph.keys[kept], graph.num_nodes)),
     )
 
 

@@ -22,6 +22,7 @@ from .graph import (
     LabeledTask,
     Split,
     SplitAssignment,
+    append_edges,
     compute_imbalance,
     manufacturer,
 )
@@ -152,12 +153,11 @@ def oversample(task: LabeledTask, split: SplitAssignment, config: SengConfig) ->
             generate_synthetic_node(base, minority_pool, rng, config.alpha_choices, node_id=p + k)
         )
 
-    nodes = list(base.nodes)
-    edges = [base.edge_array()]
-    for rec in records:
-        nodes.append(manufacturer(f"synthetic-{rec.node - p}"))
-        edges.append(np.array([(rec.node, s) for s in rec.attached_services], dtype=np.int64))
-    combined = Graph(nodes, np.vstack(edges))
+    nodes = list(base.nodes) + [manufacturer(f"synthetic-{rec.node - p}") for rec in records]
+    # each synthetic edge (service, node) in ascending order, merged behind its service's edges
+    added = np.array([(s, rec.node) for rec in records for s in rec.attached_services], dtype=np.int64).reshape(-1, 2)
+    added = added[np.lexsort((added[:, 1], added[:, 0]))]
+    combined = Graph(nodes, append_edges(base.edge_array(), added))
 
     labels = np.concatenate([task.labels, np.full(count, stats.minority_label, dtype=np.int64)])
     assignment = dict(split.assignment)

@@ -13,6 +13,7 @@ from capgraph.graph import (
     ServiceCategory,
     Split,
     _edge_table,
+    append_edges,
     build_from_corpus,
     compute_imbalance,
     init_type_codes,
@@ -217,6 +218,82 @@ def test_write_then_load_round_trip(tmp_path):
     write_graph_files(g, tmp_path / "n.tsv", tmp_path / "e.tsv")
     g2 = load_graph(tmp_path / "n.tsv", tmp_path / "e.tsv")
     assert g2 == g
+
+
+# ---------------------------------------------------------------------------
+# The stored form: sorted edge keys, and what is derived from them.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _keyed_graphs(draw):
+    """Nodes of interleaved kinds and a set of valid edges (u, v), u < v, ascending."""
+    p = draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.booleans(), min_size=p, max_size=p))
+    nodes = [manufacturer(f"m{j}") if k else service(f"s{j}", ServiceCategory.PROCESS)
+             for j, k in enumerate(kinds)]
+    candidates = [(u, v) for u in range(p) for v in range(u + 1, p) if not (kinds[u] and kinds[v])]
+    edges = sorted(draw(st.sets(st.sampled_from(candidates)))) if candidates else []
+    return nodes, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(_keyed_graphs(), st.data())
+def test_graph_from_any_edge_order_is_its_sorted_keys(graph, data):
+    nodes, edges = graph
+    p = len(nodes)
+    # shuffled, some edges repeated, some written (v, u)
+    messy = data.draw(st.permutations(edges + data.draw(st.lists(st.sampled_from(edges), max_size=8))
+                                      if edges else []))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(messy), max_size=len(messy)))
+    messy = [(v, u) if flip else (u, v) for (u, v), flip in zip(messy, flips)]
+    g, canon = Graph(nodes, messy), Graph(nodes, edges)
+    assert g == canon and hash(g) == hash(canon)
+    assert g.keys.tolist() == [u * p + v for u, v in edges]
+
+    a = np.zeros((p, p))  # the oracle
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1.0
+    assert g.num_edges == len(edges)
+    assert g.edge_array().tolist() == [list(e) for e in edges]
+    assert np.array_equal(g.dense_adjacency(), a)
+    assert g.indptr.tolist() == [0, *np.cumsum(a.sum(axis=1)).astype(int).tolist()]
+    assert g.indices.tolist() == [v for u in range(p) for v in np.flatnonzero(a[u]).tolist()]
+    assert g.neighbors == tuple(tuple(np.flatnonzero(a[u]).tolist()) for u in range(p))
+    man = np.array([node.is_manufacturer for node in nodes])
+    ids_i, ids_v, b, b_vi, c = g.adjacency_blocks()
+    rows_i, rows_v = np.arange(p)[ids_i], np.arange(p)[ids_v]
+    assert rows_i.tolist() == np.flatnonzero(man).tolist() and rows_v.tolist() == np.flatnonzero(~man).tolist()
+    assert np.array_equal(b, a[np.ix_(rows_i, rows_v)])
+    assert np.array_equal(b_vi, a[np.ix_(rows_v, rows_i)])
+    assert np.array_equal(c, a[np.ix_(rows_v, rows_v)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_keyed_graphs())
+def test_load_graph_reads_back_what_write_graph_files_wrote(tmp_path_factory, graph):
+    g = Graph(*graph)
+    out = tmp_path_factory.mktemp("graph")
+    write_graph_files(g, out / "n.tsv", out / "e.tsv")
+    assert load_graph(out / "n.tsv", out / "e.tsv") == g
+
+
+def test_the_stored_keys_and_the_edge_array_are_read_only(mixed_graph):
+    for array in (mixed_graph.keys, mixed_graph.edge_array(), mixed_graph.indices, mixed_graph.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_keyed_graphs(), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 3)), max_size=12))
+def test_append_edges_equals_sorting_the_union(graph, added):
+    nodes, edges = graph
+    p = len(nodes)
+    # edges (u, p + k) to new nodes above every id, ascending
+    added = sorted({(u % p, p + k) for u, k in added})
+    want = sorted(set(edges) | set(added))
+    got = append_edges(np.array(edges, dtype=np.int64).reshape(-1, 2), np.array(added, dtype=np.int64).reshape(-1, 2))
+    assert got.tolist() == [list(e) for e in want]
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,15 @@ def test_encoders_match_dense_oracle(graph, kind, seed):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+@pytest.mark.parametrize("kind", ["graphsage", "gcn"])
+def test_the_forward_pass_reads_the_blocks_and_builds_no_csr(kind):
+    # eval and predict run only this pass on a graph they read: its CSR form is never needed
+    graph = random_bipartite_graph(np.random.default_rng(3), 12, 5)
+    rng = np.random.default_rng(4)
+    forward(rng.normal(size=(graph.num_nodes, 3)), graph, init_parameters(kind, 3, 4, rng))
+    assert "_csr" not in vars(graph)
+
+
 def test_neighborhood_mean_hand_case():
     a = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
     feats = np.array([[9.0, 9, 9], [1, 0, 0], [3, 0, 0]])
