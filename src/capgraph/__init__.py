@@ -42,7 +42,6 @@ from .features import (
     EmbeddingConfig,
     TsneConfig,
     build_neighbor_paragraphs,
-    codes_only_features,
     integrate_features,
     reduce_to_plane,
     train_paragraph_vectors,

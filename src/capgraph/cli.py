@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import typing
+from collections.abc import Callable
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from .graph import (
 from .harness import (
     DEFAULT_OS_GRID,
     DEFAULT_RATIO_GRID,
+    METHODS,
     MethodSpec,
     MetricReport,
     PipelineConfig,
@@ -54,7 +56,9 @@ from .harness import (
 )
 from .metrics import auc_pr, auc_roc
 from .models import (
+    _KIND_BYTES,
     ModelParameters,
+    TrainConfig,
     check_fanout_scope,
     forward,
     load_checkpoint,
@@ -64,13 +68,6 @@ from .models import (
 from .seng import write_audit_file
 
 METRICS_HEADER = RESULTS_HEADER[:-1]  # no wall_ms: a run directory is the same on every rerun
-
-_METHOD_FLAGS = {
-    "plain": (False, False),
-    "seng": (True, False),
-    "fa": (False, True),
-    "sf": (True, True),
-}
 
 
 class UsageError(Exception):
@@ -86,9 +83,21 @@ class _Parser(argparse.ArgumentParser):
 # Configuration: the config dataclasses' defaults, JSON file, then flags.
 # ---------------------------------------------------------------------------
 
-# The pipeline settings that config.json holds and flags set, by section (a
-# `PipelineConfig` field) and dataclass field: (flag, help[, default shown]).
+# Flags that set dataclass fields, by field: (flag, help[, default shown]).
 # Each help ends in the field's default unless a text for it is given.
+
+# `gen-planted`'s settings, the fields of `PlantedDatasetSpec` but its seed
+_PLANTED_FLAGS: dict[str, tuple[str, ...]] = {
+    "n_manufacturers": ("--manufacturers", "manufacturer count"),
+    "n_services_per_category": ("--services-per-category", "services per category"),
+    "n_clusters": ("--clusters", "service cluster count"),
+    "capable_fraction": ("--capable-fraction", "fraction of capable manufacturers"),
+    "signal": ("--signal", "capable-to-cluster link probability"),
+    "noise": ("--noise", "noise edge rate"),
+}
+
+# The pipeline settings that config.json holds and flags set, by section (a
+# `PipelineConfig` field)
 _PIPELINE_FLAGS: dict[str, dict[str, tuple[str, ...]]] = {
     "seng": {
         "oversampling_scale": ("--os", "SENG oversampling scale"),
@@ -154,17 +163,28 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}") from None
 
 
-def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=Path, help="JSON config file mirroring the pipeline settings")
-    sub.add_argument("--seed", type=int, help=f"global seed (default: $CAPGRAPH_SEED or {DEFAULTS['seed']})")
-    for section, flags in _PIPELINE_FLAGS.items():
-        for name, (flag, text, *shown) in flags.items():
-            hint, default = _TYPES[section][name], DEFAULTS[section][name]
-            if typing.get_origin(hint) is tuple:
-                kwargs, default = {"type": _int_list}, ",".join(map(str, default))
-            else:  # int or float, or either or None
-                kwargs = {"type": (typing.get_args(hint) or (hint,))[0]}
-            sub.add_argument(flag, help=f"{text} (default: {shown[0] if shown else default})", **kwargs)
+def _add_flags(sub: argparse.ArgumentParser, cls: type, flags: dict[str, tuple[str, ...]]) -> None:
+    """One flag per entry of `flags`, typed as that field of the dataclass
+    `cls`. A flag not given parses as None: the field keeps its value."""
+    hints, defaults = typing.get_type_hints(cls), cls()
+    for name, (flag, text, *shown) in flags.items():
+        hint, default = hints[name], getattr(defaults, name)
+        if typing.get_origin(hint) is tuple:
+            kwargs, default = {"type": _int_list}, ",".join(map(str, default))
+        else:  # int or float, or either or None
+            kwargs = {"type": (typing.get_args(hint) or (hint,))[0]}
+        sub.add_argument(flag, help=f"{text} (default: {shown[0] if shown else default})", **kwargs)
+
+
+def _given(args: argparse.Namespace, flags: dict[str, tuple[str, ...]]) -> dict[str, typing.Any]:
+    """The fields among `flags` whose flag the command line gives, with its value."""
+    dests = {name: flag[2:].replace("-", "_") for name, (flag, *_) in flags.items()}  # argparse's dests
+    values = {name: getattr(args, dest, None) for name, dest in dests.items()}
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _add_seed(sub: argparse.ArgumentParser, text: str) -> None:
+    sub.add_argument("--seed", type=int, help=f"{text} (default: $CAPGRAPH_SEED or {DEFAULTS['seed']})")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -203,10 +223,7 @@ def effective_config(args: argparse.Namespace) -> dict:
         except ValueError:
             raise UsageError(f"CAPGRAPH_SEED must be an integer, got {env_seed!r}") from None
     for section, flags in _PIPELINE_FLAGS.items():
-        for name, (flag, *_) in flags.items():
-            value = getattr(args, flag[2:].replace("-", "_"), None)  # argparse's dest
-            if value is not None:
-                config[section][name] = value
+        config[section].update(_given(args, flags))
     return config
 
 
@@ -231,8 +248,8 @@ def pipeline_from_config(config: dict) -> PipelineConfig:
 
 def _method_spec(args: argparse.Namespace, pipeline: PipelineConfig) -> MethodSpec:
     """The method the flags name, checked against the pipeline before any work."""
-    use_seng, use_fa = _METHOD_FLAGS[args.method]
-    task = getattr(args, "task", "node")
+    use_seng, use_fa, _ = METHODS[args.method]
+    task = getattr(args, "task", MethodSpec.task)  # sweep has no --task
     if task == "link" and use_seng:
         raise UsageError("--method seng/sf applies to node classification; link prediction supports plain/fa")
     check_fanout_scope(pipeline.train, args.encoder, task)
@@ -301,7 +318,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", {
         **config, "command": "train", "target": args.target, "method": args.method,
-        "encoder": args.encoder, "task": getattr(args, "task", "node"), "repeats": repeats,
+        "encoder": args.encoder, "task": args.task, "repeats": repeats,
     })
     if method.task == "node":
         write_graph_files(artifacts.aug.graph, out_dir / "nodes.tsv", out_dir / "edges.tsv")
@@ -420,16 +437,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_planted(args: argparse.Namespace) -> int:
-    seed = effective_config(args)["seed"]
-    spec = PlantedDatasetSpec(
-        n_manufacturers=args.manufacturers,
-        n_services_per_category=args.services_per_category,
-        n_clusters=args.clusters,
-        capable_fraction=args.capable_fraction,
-        signal=args.signal,
-        noise=args.noise,
-        seed=seed,
-    )
+    spec = PlantedDatasetSpec(seed=effective_config(args)["seed"], **_given(args, _PLANTED_FLAGS))
     graph, target = generate_planted_dataset(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -447,79 +455,76 @@ def cmd_gen_planted(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
+def _add_arguments(sub: argparse.ArgumentParser, command: str) -> None:
+    """Add the arguments of subcommand `command` to its parser `sub`, in the
+    order its `--help` lists them."""
+    arg = sub.add_argument
+    if command == "build":
+        arg("--corpus", type=Path, help="manufacturer corpus: name<TAB>document per line")
+        arg("--services", type=Path, help="service vocabulary: name<TAB>category per line")
+        arg("--service-edges", type=Path, help="service-service edges: name<TAB>name per line")
+        arg("--nodes", type=Path, help="existing node file to canonicalize")
+        arg("--edges", type=Path, help="existing edge file to canonicalize")
+    elif command in ("train", "sweep"):
+        arg("--nodes", type=Path, required=True, help="node file")
+        arg("--edges", type=Path, required=True, help="edge file")
+        arg("--target", required=True, help="target service name to mask and predict")
+        arg("--method", choices=sorted(METHODS), default="sf", help=f"ablation: {', '.join(METHODS)} (default: sf)")
+        arg("--encoder", choices=list(_KIND_BYTES), default=MethodSpec.encoder,
+            help=f"GNN encoder (default: {MethodSpec.encoder})")
+    elif command in ("eval", "predict"):
+        arg("--run-dir", type=Path, required=True, help="directory written by train")
+    if command == "train":
+        arg("--task", choices=["node", "link"], default=MethodSpec.task,
+            help=f"node classification or link prediction (default: {MethodSpec.task})")
+        arg("--repeats", type=int, default=1, help="averaging repeats (default: 1)")
+    elif command == "sweep":
+        grids = [",".join(map(str, grid)) for grid in (DEFAULT_OS_GRID, DEFAULT_RATIO_GRID)]
+        arg("--axis", choices=["os", "ratio"], required=True, help="sweep axis")
+        arg("--grid", help="comma list of grid values (default: {} for os; {} for ratio)".format(*grids))
+        arg("--repeats", type=int, default=SweepSpec.repeats, help=f"repeats per cell (default: {SweepSpec.repeats})")
+    elif command == "predict":
+        arg("--name", required=True, help="manufacturer name")
+        arg("--threshold", type=float, help=f"label threshold (default: from run config, {TrainConfig.threshold})")
+    elif command == "gen-planted":
+        _add_flags(sub, PlantedDatasetSpec, _PLANTED_FLAGS)
+        _add_seed(sub, "generator seed")
+    if command not in ("eval", "predict"):
+        arg("--out", type=Path, required=True, help="output directory")
+    if command in ("train", "sweep"):
+        arg("--config", type=Path, help="JSON config file mirroring the pipeline settings")
+        _add_seed(sub, "global seed")
+        for section, flags in _PIPELINE_FLAGS.items():
+            _add_flags(sub, _SECTIONS[section], flags)
+
+
+# subcommand -> (help, handler)
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int]]] = {
+    "build": ("build canonical graph files from a corpus or node/edge files", cmd_build),
+    "train": ("mask a target, train a classifier, write artifacts", cmd_train),
+    "eval": ("re-evaluate a saved training run directory", cmd_eval),
+    "sweep": ("grid sweep over the OS or imbalance-ratio axis", cmd_sweep),
+    "predict": ("score one manufacturer with a saved run", cmd_predict),
+    "gen-planted": ("generate a planted benchmark dataset", cmd_gen_planted),
+}
+
+
+def _build_parser(command: str | None) -> _Parser:
+    """The parser of every subcommand, each with its arguments only when it
+    is `command`: a call parses the arguments of one subcommand alone."""
     parser = _Parser(prog="capgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="build canonical graph files from a corpus or node/edge files")
-    p_build.add_argument("--corpus", type=Path, help="manufacturer corpus: name<TAB>document per line")
-    p_build.add_argument("--services", type=Path, help="service vocabulary: name<TAB>category per line")
-    p_build.add_argument("--service-edges", type=Path, help="service-service edges: name<TAB>name per line")
-    p_build.add_argument("--nodes", type=Path, help="existing node file to canonicalize")
-    p_build.add_argument("--edges", type=Path, help="existing edge file to canonicalize")
-    p_build.add_argument("--out", type=Path, required=True, help="output directory")
-    p_build.set_defaults(func=cmd_build)
-
-    p_train = sub.add_parser("train", help="mask a target, train a classifier, write artifacts")
-    p_train.add_argument("--nodes", type=Path, required=True, help="node file")
-    p_train.add_argument("--edges", type=Path, required=True, help="edge file")
-    p_train.add_argument("--target", required=True, help="target service name to mask and predict")
-    p_train.add_argument("--method", choices=sorted(_METHOD_FLAGS), default="sf",
-                         help="ablation: plain, seng, fa, or sf (default: sf)")
-    p_train.add_argument("--encoder", choices=["graphsage", "gcn"], default="graphsage",
-                         help="GNN encoder (default: graphsage)")
-    p_train.add_argument("--task", choices=["node", "link"], default="node",
-                         help="node classification or link prediction (default: node)")
-    p_train.add_argument("--repeats", type=int, default=1, help="averaging repeats (default: 1)")
-    p_train.add_argument("--out", type=Path, required=True, help="output directory")
-    _add_pipeline_flags(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="re-evaluate a saved training run directory")
-    p_eval.add_argument("--run-dir", type=Path, required=True, help="directory written by train")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_sweep = sub.add_parser("sweep", help="grid sweep over the OS or imbalance-ratio axis")
-    p_sweep.add_argument("--nodes", type=Path, required=True, help="node file")
-    p_sweep.add_argument("--edges", type=Path, required=True, help="edge file")
-    p_sweep.add_argument("--target", required=True, help="target service name")
-    p_sweep.add_argument("--method", choices=sorted(_METHOD_FLAGS), default="sf",
-                         help="ablation method (default: sf)")
-    p_sweep.add_argument("--encoder", choices=["graphsage", "gcn"], default="graphsage",
-                         help="GNN encoder (default: graphsage)")
-    p_sweep.add_argument("--axis", choices=["os", "ratio"], required=True, help="sweep axis")
-    p_sweep.add_argument("--grid", help="comma list of grid values "
-                                        "(default: 0.2,0.4,0.6,0.8,1.0,1.2 for os; 0.1,0.2,0.4,0.5866 for ratio)")
-    p_sweep.add_argument("--repeats", type=int, default=3, help="repeats per cell (default: 3)")
-    p_sweep.add_argument("--out", type=Path, required=True, help="output directory")
-    _add_pipeline_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep, task="node")
-
-    p_pred = sub.add_parser("predict", help="score one manufacturer with a saved run")
-    p_pred.add_argument("--run-dir", type=Path, required=True, help="directory written by train")
-    p_pred.add_argument("--name", required=True, help="manufacturer name")
-    p_pred.add_argument("--threshold", type=float, help="label threshold (default: from run config, 0.5)")
-    p_pred.set_defaults(func=cmd_predict)
-
-    p_gen = sub.add_parser("gen-planted", help="generate a planted benchmark dataset")
-    p_gen.add_argument("--manufacturers", type=int, default=200, help="manufacturer count (default: 200)")
-    p_gen.add_argument("--services-per-category", type=int, default=10,
-                       help="services per category (default: 10)")
-    p_gen.add_argument("--clusters", type=int, default=4, help="service cluster count (default: 4)")
-    p_gen.add_argument("--capable-fraction", type=float, default=0.2,
-                       help="fraction of capable manufacturers (default: 0.2)")
-    p_gen.add_argument("--signal", type=float, default=0.9,
-                       help="capable-to-cluster link probability (default: 0.9)")
-    p_gen.add_argument("--noise", type=float, default=0.05, help="noise edge rate (default: 0.05)")
-    p_gen.add_argument("--seed", type=int, help="generator seed (default: $CAPGRAPH_SEED or 0)")
-    p_gen.add_argument("--out", type=Path, required=True, help="output directory")
-    p_gen.set_defaults(func=cmd_gen_planted)
-
+    for name, (text, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=handler)
+        if name == command:
+            _add_arguments(p, name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         # a diverging run reports itself once, as a numeric failure (exit 3),

@@ -473,7 +473,9 @@ def integrate_features(
     is_manufacturer: Sequence[bool],
 ) -> np.ndarray:
     """p x 3 node features: [type code, plane coords] for manufacturers (rows of
-    f2 consumed in ascending manufacturer order), [type code, 0, 0] otherwise."""
+    f2 consumed in ascending manufacturer order), [type code, 0, 0] otherwise.
+    Without f2 every row is [type code, 0, 0] (the no-feature-aggregation
+    baseline)."""
     codes = np.asarray(codes)
     flags = np.asarray(is_manufacturer, dtype=bool)
     if codes.shape[0] != flags.shape[0]:
@@ -486,13 +488,6 @@ def integrate_features(
         if f2.shape != (n_manu, 2):
             raise DataError(f"plane embedding shape {f2.shape} does not match {n_manu} manufacturers")
         out[flags, 1:] = f2
-    return out
-
-
-def codes_only_features(codes: np.ndarray) -> np.ndarray:
-    """Type codes padded with zeros (the no-feature-aggregation baseline)."""
-    out = np.zeros((np.asarray(codes).shape[0], FEATURE_DIM), dtype=np.float64)
-    out[:, 0] = codes
     return out
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DataError
 
 MANUFACTURER_CODE = 0
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, valid, test
 
 _TOKEN_RE = re.compile(r"[^0-9a-z]+")
 
@@ -250,9 +251,18 @@ def _id_run(ids: np.ndarray) -> slice | np.ndarray:
     return _frozen(ids)
 
 
+class _EdgeFault(DataError):
+    """A faulty edge: its `row` in the edge list, and the `fault` that an
+    edge file reports on the row's line."""
+
+    def __init__(self, message: str, row: int, fault: str):
+        super().__init__(message)
+        self.row, self.fault = row, fault
+
+
 def _check_edges(pairs: np.ndarray, is_manufacturer: np.ndarray) -> None:
-    """Raise for the first edge that dangles, is a self-loop, or joins two
-    manufacturers."""
+    """Raise an `_EdgeFault` for the first edge that dangles, is a
+    self-loop, or joins two manufacturers."""
     p = is_manufacturer.size
     src, dst = pairs[:, 0], pairs[:, 1]
     if not pairs.size or (
@@ -268,10 +278,10 @@ def _check_edges(pairs: np.ndarray, is_manufacturer: np.ndarray) -> None:
     k = int(np.argmax(dangling | loop | both))
     s, d = int(src[k]), int(dst[k])
     if dangling[k]:
-        raise DataError(f"dangling endpoint in edge ({s}, {d}); node count is {p}")
-    if loop[k]:
-        raise DataError(f"self-loop on node {s}")
-    raise DataError(f"manufacturer-manufacturer edge ({s}, {d}) is not allowed")
+        fault = f"dangling endpoint ({s}, {d})"
+        raise _EdgeFault(f"dangling endpoint in edge ({s}, {d}); node count is {p}", k, fault)
+    fault = f"self-loop on node {s}" if loop[k] else f"manufacturer-manufacturer edge ({s}, {d}) is not allowed"
+    raise _EdgeFault(fault, k, fault)
 
 
 def init_type_codes(graph: Graph) -> np.ndarray:
@@ -409,25 +419,19 @@ def load_graph(node_file: Path | str, edge_file: Path | str) -> Graph:
     Each file is read once. A fault is a DataError that names a line: in the
     node file the earliest line that any check rejects; in the edge file the
     first line that does not parse or, when every line parses, the first
-    dangling endpoint or self-loop."""
+    edge that `Graph` rejects."""
     nodes, edge_path = _read_nodes(Path(node_file)), Path(edge_file)
     data = edge_path.read_bytes()
     try:
         data.isascii() or data.decode("utf-8")  # ASCII is UTF-8 already
     except UnicodeDecodeError as exc:
         raise _not_utf8("edge file", edge_path, exc) from None
-    edges = _edge_table(data)
     try:
-        return Graph(nodes, edges)
-    except DataError:  # the first dangling endpoint or self-loop is reported with its line
-        bad = np.flatnonzero((edges >= len(nodes)).any(axis=1) | (edges[:, 0] == edges[:, 1]))
-        if not bad.size:
-            raise
-        s, d = edges[bad[0]].tolist()
+        return Graph(nodes, _edge_table(data))
+    except _EdgeFault as exc:
         # edge k is on the k-th line that is not blank; splitlines ends lines at LF, CR and CRLF
-        line = list(compress(count(1), map(bytes.strip, data.splitlines())))[bad[0]]
-        fault = f"dangling endpoint ({s}, {d})" if max(s, d) >= len(nodes) else f"self-loop on node {s}"
-        raise DataError(f"edge file line {line}: {fault}") from None
+        line = list(compress(count(1), map(bytes.strip, data.splitlines())))[exc.row]
+        raise DataError(f"edge file line {line}: {exc.fault}") from None
 
 
 _CHUNK_BYTES = 1 << 16  # small chunks keep the temporaries of each pass small
@@ -727,7 +731,7 @@ def _largest_remainder(count: int, ratios: Sequence[float]) -> list[int]:
 
 def stratified_split(
     labels: np.ndarray,
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
+    ratios: tuple[float, float, float] = SPLIT_RATIOS,
     seed: int = 0,
 ) -> SplitAssignment:
     """Per-class shuffle by seed, then proportional train/valid/test assignment.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +23,12 @@ from .features import (
     EmbeddingConfig,
     TsneConfig,
     build_neighbor_paragraphs,
-    codes_only_features,
     integrate_features,
     reduce_to_plane,
     train_paragraph_vectors,
 )
 from .graph import (
+    SPLIT_RATIOS,
     Graph,
     LabeledTask,
     ServiceCategory,
@@ -42,6 +42,7 @@ from .graph import (
 )
 from .metrics import auc_pr, auc_roc
 from .models import (
+    _KIND_BYTES,
     EpochRecord,
     ModelParameters,
     TrainConfig,
@@ -59,16 +60,24 @@ RESULTS_HEADER = [
 DEFAULT_OS_GRID = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
 DEFAULT_RATIO_GRID = (0.1, 0.2, 0.4, 0.5866)
 
+# the ablation's methods: token -> (use_seng, use_fa, name prefix)
+METHODS = {
+    "plain": (False, False, ""),
+    "seng": (True, False, "SENG-"),
+    "fa": (False, True, "FA-"),
+    "sf": (True, True, "SF-"),
+}
+
 
 @dataclass(frozen=True)
 class MethodSpec:
     use_seng: bool = False
     use_fa: bool = False
-    encoder: str = "graphsage"  # graphsage | gcn
+    encoder: str = "graphsage"  # a checkpoint kind: graphsage | gcn
     task: str = "node"  # node | link
 
     def __post_init__(self) -> None:
-        if self.encoder not in ("graphsage", "gcn"):
+        if self.encoder not in _KIND_BYTES:
             raise DataError(f"unknown encoder {self.encoder!r}")
         if self.task not in ("node", "link"):
             raise DataError(f"unknown task {self.task!r}")
@@ -77,26 +86,36 @@ class MethodSpec:
 
     @property
     def name(self) -> str:
-        encoder = {"graphsage": "GraphSAGE", "gcn": "GCN"}[self.encoder]
-        if self.use_seng and self.use_fa:
-            prefix = "SF-"
-        elif self.use_seng:
-            prefix = "SENG-"
-        elif self.use_fa:
-            prefix = "FA-"
-        else:
-            prefix = ""
-        label = f"{prefix}{encoder}"
+        prefix = next(p for seng, fa, p in METHODS.values() if (seng, fa) == (self.use_seng, self.use_fa))
+        label = prefix + {"graphsage": "GraphSAGE", "gcn": "GCN"}[self.encoder]
         return f"LinkPred-{label}" if self.task == "link" else label
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    ratios: tuple[float, float, float] = SPLIT_RATIOS
     seng: SengConfig = SengConfig()
     embedding: EmbeddingConfig = EmbeddingConfig()
     tsne: TsneConfig = TsneConfig()
     train: TrainConfig = TrainConfig()
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    axis: str  # "os" | "ratio"
+    values: tuple[float, ...]
+    repeats: int = 3
+    base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.axis not in ("os", "ratio"):
+            raise DataError(f"unknown sweep axis {self.axis!r}")
+        if not self.values:
+            raise DataError("sweep grid is empty")
+        if any(v <= 0 for v in self.values):
+            raise DataError("sweep grid values must be positive")
+        if self.repeats < 3:
+            raise DataError("sweeps need at least 3 repeats")
 
 
 @dataclass(frozen=True)
@@ -158,23 +177,10 @@ def build_features(
     g = graph.graph if isinstance(graph, AugmentedGraph) else graph
     codes = init_type_codes(g)
     if not use_fa:
-        return FeatureBundle(codes_only_features(codes))
+        return FeatureBundle(integrate_features(codes, None, g.is_manufacturer))
     paragraphs = build_neighbor_paragraphs(graph if paragraphs_from is None else paragraphs_from)
-    f1 = train_paragraph_vectors(
-        paragraphs,
-        dim=embedding.dim,
-        epochs=embedding.epochs,
-        learning_rate=embedding.learning_rate,
-        negatives=embedding.negatives,
-        seed=seed,
-    )
-    f2 = reduce_to_plane(
-        f1,
-        perplexity=tsne.perplexity,
-        iterations=tsne.iterations,
-        learning_rate=tsne.learning_rate,
-        seed=seed,
-    )
+    f1 = train_paragraph_vectors(paragraphs, **asdict(embedding), seed=seed)
+    f2 = reduce_to_plane(f1, **asdict(tsne), seed=seed)
     return FeatureBundle(integrate_features(codes, f2, g.is_manufacturer), f1, f2)
 
 
@@ -244,7 +250,7 @@ def run_method(
     task: LabeledTask,
     method: MethodSpec,
     pipeline: PipelineConfig,
-    repeats: int = 3,
+    repeats: int = SweepSpec.repeats,
     base_seed: int = 0,
 ) -> MetricReport:
     """Repeat the pipeline with seeds base_seed..base_seed+repeats-1 and average."""
@@ -304,24 +310,6 @@ def downsample_to_ratio(task: LabeledTask, target_ratio: float, seed: int = 0) -
 # ---------------------------------------------------------------------------
 # Sweeps.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    axis: str  # "os" | "ratio"
-    values: tuple[float, ...]
-    repeats: int = 3
-    base_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.axis not in ("os", "ratio"):
-            raise DataError(f"unknown sweep axis {self.axis!r}")
-        if not self.values:
-            raise DataError("sweep grid is empty")
-        if any(v <= 0 for v in self.values):
-            raise DataError("sweep grid values must be positive")
-        if self.repeats < 3:
-            raise DataError("sweeps need at least 3 repeats")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .graph import Graph, SplitAssignment, _frozen, _largest_remainder, read_exact
+from .graph import SPLIT_RATIOS, Graph, SplitAssignment, _frozen, _largest_remainder, read_exact
 from .metrics import auc_pr, auc_roc
 from .seng import AugmentedGraph
 
@@ -32,6 +32,7 @@ PROB_CLAMP = 1e-7
 _CHECKPOINT_MAGIC = b"CGCK"
 _KIND_BYTES = {"graphsage": 0, "gcn": 1}
 _KIND_NAMES = {v: k for k, v in _KIND_BYTES.items()}
+_SAGE_WIDTH = 2  # GraphSAGE's weight products take [h, M h], twice the width of h
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -62,7 +63,7 @@ class ModelParameters:
     @property
     def input_dim(self) -> int:
         cols = self.w1.shape[0]
-        return cols // 2 if self.kind == "graphsage" else cols
+        return cols // _SAGE_WIDTH if self.kind == "graphsage" else cols
 
     def weights(self) -> list[np.ndarray]:
         return [self.w1, self.w2] + ([self.w3] if self.w3 is not None else [])
@@ -90,7 +91,7 @@ def init_parameters(
 ) -> ModelParameters:
     if kind not in _KIND_BYTES:
         raise DataError(f"unknown model kind {kind!r}")
-    k = 2 if kind == "graphsage" else 1  # GraphSAGE's products take [h, M h]
+    k = _SAGE_WIDTH if kind == "graphsage" else 1
     w1 = _glorot(rng, k * input_dim, d_hidden)
     w2 = _glorot(rng, k * d_hidden, d_hidden)
     w3 = _glorot(rng, k * d_hidden, 1) if with_head else None
@@ -319,11 +320,6 @@ def forward(
     return cache.p, cache
 
 
-def predict_labels(p: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Binary labels: 1 iff probability strictly exceeds the threshold."""
-    return (np.asarray(p) > threshold).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Loss and backward passes.
 # ---------------------------------------------------------------------------
@@ -461,6 +457,11 @@ class TrainConfig:
             raise DataError("fanout must be >= 1")
         if not self.seed >= 0:
             raise DataError("seed must be >= 0")
+
+
+def predict_labels(p: np.ndarray, threshold: float = TrainConfig.threshold) -> np.ndarray:
+    """Binary labels: 1 iff probability strictly exceeds the threshold."""
+    return (np.asarray(p) > threshold).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -677,7 +678,7 @@ def train_link_predictor(
     target_services: list[str],
     config: TrainConfig,
     kind: str = "graphsage",
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
+    ratios: tuple[float, float, float] = SPLIT_RATIOS,
 ) -> tuple[ModelParameters, LinkEvalResult]:
     """Encoder-decoder link prediction against the named target services.
 
@@ -763,7 +764,7 @@ def load_checkpoint(path: Path | str) -> ModelParameters:
     if w1 is None or w2 is None:
         raise DataError(f"{path}: checkpoint missing encoder weights")
     kind = _KIND_NAMES[kind_byte]
-    k, h = (2 if kind == "graphsage" else 1), d_hidden  # as in init_parameters
+    k, h = (_SAGE_WIDTH if kind == "graphsage" else 1), d_hidden
     head_fits = w3 is None or w3.shape == (k * h, 1)
     if w1.shape[1] != h or w1.shape[0] % k or w2.shape != (k * h, h) or not head_fits:
         shapes = [None if w is None else w.shape for w in mats]

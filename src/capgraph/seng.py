@@ -85,7 +85,7 @@ def generate_synthetic_node(
     graph: Graph,
     minority_manufacturers: list[int],
     rng: np.random.Generator,
-    alpha_choices: tuple[int, ...] = (2, 3, 4),
+    alpha_choices: tuple[int, ...] = SengConfig.alpha_choices,
     node_id: int | None = None,
 ) -> SyntheticNodeRecord:
     """Fabricate one synthetic manufacturer record.

@@ -1,17 +1,32 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import capgraph
 from capgraph.cli import main
+from capgraph.features import EmbeddingConfig, TsneConfig
+from capgraph.graph import load_graph
+from capgraph.harness import (
+    DEFAULT_OS_GRID,
+    DEFAULT_RATIO_GRID,
+    TARGET_SERVICE_NAME,
+    MethodSpec,
+    PlantedDatasetSpec,
+    SweepSpec,
+)
+from capgraph.models import TrainConfig
+from capgraph.seng import SengConfig
 
 FAST_FLAGS = [
     "--embed-dim", "10", "--embed-epochs", "3", "--tsne-iters", "50",
@@ -125,6 +140,17 @@ def test_gen_planted_writes_meta(planted_dir, capsys):
     assert meta["target"] == "target capability"
     assert meta["nodes"] == 80 + 24 + 1
     assert (planted_dir / "nodes.tsv").exists()
+
+
+def test_gen_planted_without_optional_flags_uses_the_spec_defaults(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CAPGRAPH_SEED", raising=False)
+    assert main(["gen-planted", "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    graph = load_graph(tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
+    assert meta == {
+        **asdict(PlantedDatasetSpec()), "target": TARGET_SERVICE_NAME,
+        "nodes": graph.num_nodes, "edges": graph.num_edges,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +730,18 @@ def test_sweep_empty_grid_exit_1(planted_dir, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _shown_defaults(capsys, command: str) -> dict[str, str]:
+    """Each option of `capgraph <command> --help` that shows a default, with it."""
+    assert main([command, "--help"]) == 0
+    options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+    shown = {}
+    for entry in re.split(r"\n  (?=-)", options):
+        words = " ".join(entry.split())
+        if "(default: " in words:
+            shown[words.split()[0]] = words.rsplit("(default: ", 1)[1][:-1]
+    return shown
+
+
 def test_help_lists_documented_defaults(capsys):
     code = main(["train", "--help"])
     assert code == 0
@@ -713,6 +751,65 @@ def test_help_lists_documented_defaults(capsys):
     assert "default: 1.0" in text  # oversampling scale
     assert "default: 0.7" in text  # SENG ratio threshold
     assert "default: 0.5" in text  # classification threshold
+    # every default that train, sweep, gen-planted and predict show is the dataclass field or constant
+    seng, embedding, tsne, train = SengConfig(), EmbeddingConfig(), TsneConfig(), TrainConfig()
+    assert tsne.perplexity is None and train.fanout is None  # shown as what None stands for
+    seed = f"$CAPGRAPH_SEED or {train.seed}"
+    pipeline = {
+        "--seed": seed,
+        "--os": seng.oversampling_scale,
+        "--ratio-threshold": seng.ratio_threshold,
+        "--alpha-choices": ",".join(map(str, seng.alpha_choices)),
+        "--embed-dim": embedding.dim,
+        "--embed-epochs": embedding.epochs,
+        "--embed-lr": embedding.learning_rate,
+        "--negatives": embedding.negatives,
+        "--perplexity": "min(30,(n-1)/3)",
+        "--tsne-iters": tsne.iterations,
+        "--tsne-lr": tsne.learning_rate,
+        "--lr": train.learning_rate,
+        "--max-epochs": train.max_epochs,
+        "--patience": train.patience,
+        "--hidden": train.d_hidden,
+        "--threshold": train.threshold,
+        "--fanout": "full neighborhood",
+        "--method": "sf",
+        "--encoder": MethodSpec().encoder,
+    }
+    grids = [",".join(map(str, grid)) for grid in (DEFAULT_OS_GRID, DEFAULT_RATIO_GRID)]
+    spec = PlantedDatasetSpec()
+    expected = {
+        "train": {**pipeline, "--task": MethodSpec().task, "--repeats": 1},
+        "sweep": {**pipeline, "--repeats": SweepSpec.repeats, "--grid": f"{grids[0]} for os; {grids[1]} for ratio"},
+        "gen-planted": {
+            "--manufacturers": spec.n_manufacturers,
+            "--services-per-category": spec.n_services_per_category,
+            "--clusters": spec.n_clusters,
+            "--capable-fraction": spec.capable_fraction,
+            "--signal": spec.signal,
+            "--noise": spec.noise,
+            "--seed": seed,
+        },
+        "predict": {"--threshold": f"from run config, {train.threshold}"},
+    }
+    for command, defaults in expected.items():
+        assert _shown_defaults(capsys, command) == {flag: str(value) for flag, value in defaults.items()}, command
+
+
+def test_a_call_adds_the_arguments_of_its_subcommand_alone(trained_run, monkeypatch, capsys):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(parser, *names, **kwargs):
+        calls.append((parser.prog, names[0]))
+        return add_argument(parser, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert main(["predict", "--run-dir", str(trained_run), "--name", "maker-00000"]) == 0
+    assert {prog for prog, name in calls if name != "-h"} == {"capgraph predict"}
+    # the top-level help still lists every subcommand
+    assert main(["--help"]) == 0
+    assert "{build,train,eval,sweep,predict,gen-planted}" in capsys.readouterr().out
 
 
 def test_unknown_flag_exit_1(capsys):

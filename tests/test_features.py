@@ -19,7 +19,6 @@ from capgraph import features
 from capgraph.errors import DataError, NumericError
 from capgraph.features import (
     build_neighbor_paragraphs,
-    codes_only_features,
     conditional_affinities,
     default_perplexity,
     initial_embedding,
@@ -705,6 +704,11 @@ def test_integrate_manufacturer_row():
     out = integrate_features(codes, f2, [True, False])
     assert np.allclose(out[0], [0.0, 1.2, -0.3])
     assert np.allclose(out[1], [1.0, 0.0, 0.0])
+    # without plane coordinates (no feature aggregation) every row is [type code, 0, 0]
+    out = integrate_features(np.array([0, 3, 4]), None, [True, False, False])
+    assert out.shape == (3, 3)
+    assert np.allclose(out[:, 0], [0, 3, 4])
+    assert np.all(out[:, 1:] == 0.0)
 
 
 def test_integrate_service_rows_zero_padded(mixed_graph):
@@ -726,13 +730,6 @@ def test_integrate_dimension_mismatch():
         integrate_features(np.array([0, 0]), np.zeros((1, 2)), [True, True])
     with pytest.raises(DataError, match="length mismatch"):
         integrate_features(np.array([0, 0]), None, [True])
-
-
-def test_codes_only_features():
-    out = codes_only_features(np.array([0, 3, 4]))
-    assert out.shape == (3, 3)
-    assert np.allclose(out[:, 0], [0, 3, 4])
-    assert np.all(out[:, 1:] == 0.0)
 
 
 def test_matrix_round_trip_bitwise(tmp_path):

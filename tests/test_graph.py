@@ -144,12 +144,17 @@ _BAD_EDGE_FILES = {
     b"0\tx\n": "edge file line 1: bad endpoint",
     b"0\t1\r\n2\t3\r\n4\t5 6\r\n": "edge file line 3: expected 'src<TAB>dst'",
     "0\t1\r\n2\t3\r\n4\t\u00e9\r\n".encode(): "edge file line 3: bad endpoint",
+    # every line parses: the first edge that the graph rejects, whatever its fault
+    b"8\t2\n8\t9\n9\t11\n": "edge file line 2: manufacturer-manufacturer edge (8, 9) is not allowed",
+    b"8\t2\n\n8\t9\n": "edge file line 3: manufacturer-manufacturer edge (8, 9) is not allowed",
 }
 
 
 def _load_edges(tmp_path, raw: bytes) -> list[list[int]] | str:
-    """The edges `load_graph` reads from an edge file for 11 nodes, or its message."""
-    nodes = _write(tmp_path, "n.tsv", "".join(f"{j}\tservice\tprocess\ts{j}\n" for j in range(11)))
+    """The edges `load_graph` reads from an edge file for 11 nodes, 8 and 9
+    manufacturers and the others services, or its message."""
+    kinds = ["manufacturer\t-" if j in (8, 9) else "service\tprocess" for j in range(11)]
+    nodes = _write(tmp_path, "n.tsv", "".join(f"{j}\t{kind}\tn{j}\n" for j, kind in enumerate(kinds)))
     edges = tmp_path / "e.tsv"
     edges.write_bytes(raw)
     try:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capgraph.errors import DataError
-from capgraph.features import codes_only_features
+from capgraph.features import integrate_features
 from capgraph.graph import (
     Graph,
     ServiceCategory,
@@ -330,7 +330,7 @@ def test_training_memory_is_not_quadratic():
     ))
     task = mask_target(graph, target)
     aug = without_oversampling(task, stratified_split(task.labels, (0.8, 0.1, 0.1), 0))
-    feats = codes_only_features(init_type_codes(aug.graph))
+    feats = integrate_features(init_type_codes(aug.graph), None, aug.graph.is_manufacturer)
     tracemalloc.start()
     try:
         for kind in ("graphsage", "gcn"):
@@ -884,7 +884,7 @@ def test_trained_link_scores_do_not_tie():
     # every overlap to zero and all test scores tie at exactly 0.5
     task = _tiny_task(1)
     graph, _ = restore_target(task)
-    feats = codes_only_features(init_type_codes(graph))
+    feats = integrate_features(init_type_codes(graph), None, graph.is_manufacturer)
     config = TrainConfig(max_epochs=60, seed=0)
     params, _ = train_link_predictor(graph, feats, [task.target_name], config, "gcn")
     # rebuild the predictor's split and message graph to score its test pairs
