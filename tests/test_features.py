@@ -704,11 +704,6 @@ def test_integrate_manufacturer_row():
     out = integrate_features(codes, f2, [True, False])
     assert np.allclose(out[0], [0.0, 1.2, -0.3])
     assert np.allclose(out[1], [1.0, 0.0, 0.0])
-    # without plane coordinates (no feature aggregation) every row is [type code, 0, 0]
-    out = integrate_features(np.array([0, 3, 4]), None, [True, False, False])
-    assert out.shape == (3, 3)
-    assert np.allclose(out[:, 0], [0, 3, 4])
-    assert np.all(out[:, 1:] == 0.0)
 
 
 def test_integrate_service_rows_zero_padded(mixed_graph):
@@ -730,6 +725,14 @@ def test_integrate_dimension_mismatch():
         integrate_features(np.array([0, 0]), np.zeros((1, 2)), [True, True])
     with pytest.raises(DataError, match="length mismatch"):
         integrate_features(np.array([0, 0]), None, [True])
+
+
+def test_codes_only_features():
+    # without plane coordinates (no feature aggregation) every row is [type code, 0, 0]
+    out = integrate_features(np.array([0, 3, 4]), None, [True, False, False])
+    assert out.shape == (3, 3)
+    assert np.allclose(out[:, 0], [0, 3, 4])
+    assert np.all(out[:, 1:] == 0.0)
 
 
 def test_matrix_round_trip_bitwise(tmp_path):
