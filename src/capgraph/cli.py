@@ -60,6 +60,7 @@ from .models import (
     ModelParameters,
     TrainConfig,
     check_fanout_scope,
+    check_threshold,
     forward,
     load_checkpoint,
     predict_labels,
@@ -427,12 +428,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
             threshold = float(config["train"]["threshold"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{run_dir / 'config.json'}: malformed run config ({exc!r})") from None
+    check_threshold(threshold)
     node_id = graph.find_manufacturer(args.name)
     if node_id is None:
         raise DataError(f"unknown manufacturer {args.name!r}")
-    probs, _ = forward(features, graph, params)
-    label = int(predict_labels(probs, threshold)[node_id])
-    print(f"{args.name}\t{probs[node_id]:.6f}\t{label}")
+    probs, _ = forward(features, graph, params, rows=np.array([node_id]))
+    print(f"{args.name}\t{probs[0]:.6f}\t{int(predict_labels(probs, threshold)[0])}")
     return 0
 
 

@@ -72,7 +72,7 @@ def build_neighbor_paragraphs(graph: Graph | AugmentedGraph) -> dict[int, list[s
     """Map each manufacturer id to the normalized tokens of its service
     neighbors' names, neighbors taken in ascending id order."""
     g = graph.graph if isinstance(graph, AugmentedGraph) else graph
-    service_tokens = {s: tokenize(g.nodes[s].name) for s in g.service_ids()}  # paragraphs share these strings
+    service_tokens = {s: tokenize(g.names[s]) for s in g.service_ids()}  # paragraphs share these strings
     paragraphs: dict[int, list[str]] = {}
     for q in g.manufacturer_ids():
         tokens: list[str] = []

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import compress, count, repeat
-from operator import attrgetter, eq, is_, is_not
+from operator import attrgetter, eq, is_not
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ class ServiceCategory(Enum):
 
 # Type code per node kind: manufacturers 0, then the four service categories 1-4 in the order above.
 _CATEGORY_CODE = {category: code for code, category in enumerate(ServiceCategory, start=1)}
+_CODE_TYPES = ((Kind.MANUFACTURER, None), *((Kind.SERVICE, category) for category in ServiceCategory))  # by code
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,23 +89,42 @@ def service(name: str, category: ServiceCategory) -> NodeKind:
     return NodeKind(Kind.SERVICE, category, name)
 
 
+class NodeColumns(NamedTuple):
+    """Nodes as two columns: each node's type code (`NodeKind.type_code`,
+    int8) and its name. `Graph` takes them as they are: they must hold only
+    what `NodeKind` accepts."""
+
+    codes: np.ndarray
+    names: tuple[str, ...]
+
+
 class Graph:
     """Immutable undirected graph over manufacturer and service nodes.
 
     Construction validates endpoints, rejects self-loops and
     manufacturer-manufacturer edges, and collapses duplicate edges. The
-    graph is its edge keys: each edge (u, v), u < v, once as u * p + v,
-    ascending. The CSR form (node u's neighbors are `indices[indptr[u]:
-    indptr[u + 1]]`, ascending) is derived from them on first use."""
+    nodes are given as `NodeKind`s or as `NodeColumns`, and held as the
+    columns `codes` and `names`; the `NodeKind` tuple `nodes` is built from
+    them on first use. The edges are their keys: each edge (u, v), u < v,
+    once as u * p + v, ascending. The CSR form (node u's neighbors are
+    `indices[indptr[u]: indptr[u + 1]]`, ascending) is derived from them on
+    first use."""
 
-    def __init__(self, nodes: Sequence[NodeKind], edges: Iterable[tuple[int, int]] | np.ndarray):
-        self.nodes: tuple[NodeKind, ...] = tuple(nodes)
-        p = len(self.nodes)
-        kinds = map(is_, map(attrgetter("kind"), self.nodes), repeat(Kind.MANUFACTURER))
-        self.is_manufacturer = _frozen(np.fromiter(kinds, dtype=bool, count=p))
+    def __init__(self, nodes: Sequence[NodeKind] | NodeColumns, edges: Iterable[tuple[int, int]] | np.ndarray):
+        if isinstance(nodes, NodeColumns):
+            codes, self.names = nodes
+        else:
+            self.nodes = tuple(nodes)
+            codes = np.array([node.type_code for node in self.nodes], dtype=np.int8)
+            self.names = tuple(map(attrgetter("name"), self.nodes))
+        self.codes = _frozen(np.asarray(codes, dtype=np.int8))
+        p = self.codes.size
+        self.is_manufacturer = _frozen(self.codes == MANUFACTURER_CODE)
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64).reshape(-1, 2)
-        _check_edges(pairs, self.is_manufacturer)
-        keys = np.minimum(pairs[:, 0], pairs[:, 1]) * p + np.maximum(pairs[:, 0], pairs[:, 1])
+        src, dst = pairs[:, 0], pairs[:, 1]
+        ordered = (src < dst).all()  # every edge written (u, v), u < v, as edge files hold them: no self-loop
+        _check_edges(pairs, self.is_manufacturer, ordered)
+        keys = src * p + dst if ordered else np.minimum(src, dst) * p + np.maximum(src, dst)
         if not (keys[1:] > keys[:-1]).all():  # edges in ascending order, as edge files hold them, skip the sort
             keys.sort()  # not np.unique: it hashes before it sorts, 20x slower on 127,000 keys
             keys = keys[np.diff(keys, prepend=-1) != 0]
@@ -112,9 +132,15 @@ class Graph:
         self.num_edges: int = keys.size
         self._blocks: tuple | None = None
 
+    @cached_property
+    def nodes(self) -> tuple[NodeKind, ...]:
+        """The nodes as `NodeKind`s, built from the columns on first use."""
+        types = map(_CODE_TYPES.__getitem__, self.codes.tolist())
+        return tuple(NodeKind(kind, category, name) for (kind, category), name in zip(types, self.names))
+
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.names)
 
     @property
     def indptr(self) -> np.ndarray:
@@ -175,7 +201,7 @@ class Graph:
 
     def _find(self, is_manufacturer: bool, name: str) -> int | None:
         """The first node of that kind and name: a scan, with no index to build."""
-        named = compress(count(), map(eq, map(attrgetter("name"), self.nodes), repeat(name)))
+        named = compress(count(), map(eq, self.names, repeat(name)))
         return next((at for at in named if self.is_manufacturer[at] == is_manufacturer), None)
 
     def dense_adjacency(self) -> np.ndarray:
@@ -200,28 +226,33 @@ class Graph:
         directed adjacency, whose B_VI is held apart."""
         if keep is None and self._blocks is not None:
             return self._blocks
-        man = self.is_manufacturer
+        man, p = self.is_manufacturer, self.num_nodes
         ids_i, ids_v = np.flatnonzero(man), np.flatnonzero(~man)
-        pos = np.empty(self.num_nodes, dtype=np.int64)
-        pos[ids_i], pos[ids_v] = np.arange(ids_i.size), np.arange(ids_v.size)
+        n_i, n_v = ids_i.size, ids_v.size
+        pos = np.empty(p, dtype=np.int64)  # each node's position in I or in V
+        pos[ids_i], pos[ids_v] = np.arange(n_i), np.arange(n_v)
+        if keep is None:
+            keys = self.keys
+            if n_i and ids_i[-1] != n_i - 1:  # I is not 0..n_i-1: the keys of the nodes relabelled to I, then V
+                order = pos + n_i * ~man
+                lo, hi = order[keys // p], order[keys % p]
+                keys = np.minimum(lo, hi) * p + np.maximum(lo, hi)
+            # a key below n_i * p is an edge (m, s), m in I and s in V, at B's flat index
+            # m * n_v + s - n_i; the keys above it join two services
+            at_b = keys < n_i * p
+            b, c, in_b = np.zeros(n_i * n_v), np.zeros((n_v, n_v)), keys[at_b]
+            b[in_b - (in_b // p + 1) * n_i] = 1.0
+            lo, hi = np.divmod(keys[~at_b] - n_i * (p + 1), p)
+            c[lo, hi] = c[hi, lo] = 1.0
+            b = _frozen(b.reshape(n_i, n_v))
+            self._blocks = (_id_run(ids_i), _id_run(ids_v), b, b.T, _frozen(c))
+            return self._blocks
 
         def block(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
             out = np.zeros(shape)
             out[pos[rows], pos[cols]] = 1.0
             return _frozen(out)
 
-        n_i, n_v = ids_i.size, ids_v.size
-        if keep is None:
-            lo, hi = self.edge_array().T
-            flip = man[hi]  # a manufacturer listed after its service: B's row is hi
-            at_i = flip | man[lo]
-            if flip.any():
-                lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
-            vv = ~at_i
-            b = block(lo[at_i], hi[at_i], (n_i, n_v))
-            self._blocks = (_id_run(ids_i), _id_run(ids_v), b, b.T,
-                            block(np.append(lo[vv], hi[vv]), np.append(hi[vv], lo[vv]), (n_v, n_v)))
-            return self._blocks
         rows, cols = self.entry_rows()[keep], self.indices[keep]
         from_i, to_i = man[rows], man[cols]
         vi, vv = ~from_i & to_i, ~from_i & ~to_i
@@ -231,10 +262,11 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.nodes == other.nodes and np.array_equal(self.keys, other.keys)
+        return (self.names == other.names and np.array_equal(self.codes, other.codes)
+                and np.array_equal(self.keys, other.keys))
 
     def __hash__(self) -> int:
-        return hash((self.nodes, self.keys.tobytes()))
+        return hash((self.names, self.codes.tobytes(), self.keys.tobytes()))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -260,14 +292,15 @@ class _EdgeFault(DataError):
         self.row, self.fault = row, fault
 
 
-def _check_edges(pairs: np.ndarray, is_manufacturer: np.ndarray) -> None:
+def _check_edges(pairs: np.ndarray, is_manufacturer: np.ndarray, ordered: bool) -> None:
     """Raise an `_EdgeFault` for the first edge that dangles, is a
-    self-loop, or joins two manufacturers."""
+    self-loop, or joins two manufacturers. `ordered`: each edge (u, v) has
+    u < v, so none is a self-loop."""
     p = is_manufacturer.size
     src, dst = pairs[:, 0], pairs[:, 1]
     if not pairs.size or (
         pairs.min() >= 0 and pairs.max() < p
-        and not (src == dst).any()
+        and (ordered or not (src == dst).any())
         and not (is_manufacturer[src] & is_manufacturer[dst]).any()
     ):
         return
@@ -286,7 +319,7 @@ def _check_edges(pairs: np.ndarray, is_manufacturer: np.ndarray) -> None:
 
 def init_type_codes(graph: Graph) -> np.ndarray:
     """Length-p integer vector of type codes (0 manufacturer .. 4 certification)."""
-    return np.array([node.type_code for node in graph.nodes], dtype=np.int64)
+    return graph.codes.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +329,7 @@ def init_type_codes(graph: Graph) -> np.ndarray:
 
 _KIND_TOKENS = {k.value: k for k in Kind}
 _CATEGORY_TOKENS = {c.value: c for c in ServiceCategory}
-_TAB, _NEWLINE, _SPACE, _ZERO = b"\t\n 0"
+_TAB, _NEWLINE, _SPACE, _ZERO, _NINE = b"\t\n 09"
 
 
 def read_records(path: Path | str, fields: int, what: str) -> Iterator[tuple[int, list[str]]]:
@@ -377,40 +410,39 @@ def _firsts(values: list) -> list[bool]:
     return list(map(eq, map(first.__getitem__, values), count()))
 
 
-# (kind token, category token) -> (kind, category) of every valid node line
-_NODE_TYPES = {
-    (Kind.MANUFACTURER.value, "-"): (Kind.MANUFACTURER, None),
-    **{(Kind.SERVICE.value, c.value): (Kind.SERVICE, c) for c in ServiceCategory},
-}
+# (kind token, category token) of each type code, in code order: the tokens of every valid node line
+_TYPE_TOKENS = ((Kind.MANUFACTURER.value, "-"), *((Kind.SERVICE.value, c.value) for c in ServiceCategory))
+_TYPE_CODES = {tokens: code for code, tokens in enumerate(_TYPE_TOKENS)}
 
 
-def _read_nodes(path: Path) -> list[NodeKind]:
+def _read_nodes(path: Path) -> NodeColumns:
     """The nodes of a node file, its lines in any order, by id."""
     linenos, (raw_ids, kinds, categories, names), error = _records(path, 4, "node file")
     try:
         ids = list(map(int, raw_ids))
     except ValueError:  # each id alone, for the check that names the bad one
         ids = list(map(_integer, raw_ids))
-    types = list(map(_NODE_TYPES.get, zip(kinds, categories)))
-    _raise_first("node file", linenos, [
-        (list(map(is_not, ids, repeat(None))), lambda k: f"bad node id {raw_ids[k]!r}"),
-        (list(map(_KIND_TOKENS.__contains__, kinds)), lambda k: f"unknown kind token {kinds[k]!r}"),
-        (list(map(is_not, types, repeat(None))), lambda k: f"manufacturer category must be '-', got {categories[k]!r}"
-         if kinds[k] == Kind.MANUFACTURER.value else f"unknown category token {categories[k]!r}"),
-        (["\t" not in name for name in names], lambda k: f"node name {names[k]!r} contains tab/newline"),
-        (_firsts(ids), lambda k: f"duplicate node id {ids[k]}"),
-    ], error)
+    codes = list(map(_TYPE_CODES.get, zip(kinds, categories)))
+    if error or None in ids or None in codes or any(map(str.__contains__, names, repeat("\t"))) \
+            or len(set(ids)) < len(ids):  # some check fails: name the earliest line it rejects
+        _raise_first("node file", linenos, [
+            (list(map(is_not, ids, repeat(None))), lambda k: f"bad node id {raw_ids[k]!r}"),
+            (list(map(_KIND_TOKENS.__contains__, kinds)), lambda k: f"unknown kind token {kinds[k]!r}"),
+            (list(map(is_not, codes, repeat(None))),
+             lambda k: f"manufacturer category must be '-', got {categories[k]!r}"
+             if kinds[k] == Kind.MANUFACTURER.value else f"unknown category token {categories[k]!r}"),
+            (["\t" not in name for name in names], lambda k: f"node name {names[k]!r} contains tab/newline"),
+            (_firsts(ids), lambda k: f"duplicate node id {ids[k]}"),
+        ], error)
     p = len(ids)
     if not p:
         raise DataError(f"node file {path} is empty")
     if min(ids) != 0 or max(ids) != p - 1:  # the ids are distinct
         raise DataError(f"node ids must be contiguous 0..{p - 1}")
-    # the checks left valid (kind, category) pairs and names without tab or newline, so these
-    # nodes are made without NodeKind's per-node checks, one slot at a time, in line order
-    nodes = list(map(object.__new__, repeat(NodeKind, p)))
-    for slot, values in zip((NodeKind.kind, NodeKind.category, NodeKind.name), (*zip(*types), names)):
-        list(map(slot.__set__, nodes, values))
-    return nodes if ids == list(range(p)) else [nodes[k] for k in sorted(range(p), key=ids.__getitem__)]
+    if ids != list(range(p)):
+        order = sorted(range(p), key=ids.__getitem__)
+        codes, names = list(map(codes.__getitem__, order)), list(map(names.__getitem__, order))
+    return NodeColumns(np.array(codes, dtype=np.int8), tuple(names))
 
 
 def load_graph(node_file: Path | str, edge_file: Path | str) -> Graph:
@@ -420,14 +452,14 @@ def load_graph(node_file: Path | str, edge_file: Path | str) -> Graph:
     node file the earliest line that any check rejects; in the edge file the
     first line that does not parse or, when every line parses, the first
     edge that `Graph` rejects."""
-    nodes, edge_path = _read_nodes(Path(node_file)), Path(edge_file)
+    columns, edge_path = _read_nodes(Path(node_file)), Path(edge_file)
     data = edge_path.read_bytes()
     try:
         data.isascii() or data.decode("utf-8")  # ASCII is UTF-8 already
     except UnicodeDecodeError as exc:
         raise _not_utf8("edge file", edge_path, exc) from None
     try:
-        return Graph(nodes, _edge_table(data))
+        return Graph(columns, _edge_table(data))
     except _EdgeFault as exc:
         # edge k is on the k-th line that is not blank; splitlines ends lines at LF, CR and CRLF
         line = list(compress(count(1), map(bytes.strip, data.splitlines())))[exc.row]
@@ -446,8 +478,8 @@ def _edge_table(data: bytes) -> np.ndarray:
     if b"\r" in data:  # CR and CRLF end a line as LF does
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     # 8 newlines in front: every field has 8 bytes before its end, and every
-    # chunk a newline before its first byte; the newline behind ends every line
-    raw = b"\n" * 8 + data + b"\n"
+    # chunk a newline before its first byte; a newline behind ends every line
+    raw = b"\n" * 8 + data + (b"" if data.endswith(b"\n") else b"\n")
     buf = np.frombuffer(raw, dtype=np.uint8)
     # at_byte[i]: the 8 bytes raw[i : i + 8] as a little-endian word
     at_byte = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
@@ -464,33 +496,39 @@ def _edge_chunk(buf: np.ndarray, at_byte: np.ndarray, start: int, end: int) -> n
     """`_edge_table` for the whole lines buf[start:end], which start and end
     with a newline; `at_byte` reads the words of `buf`."""
     b = buf[start:end]
-    newline = b == _NEWLINE
-    blank = newline | (b == _TAB) | (b == _SPACE)
-    # fields: `blank` changes at a field's first byte and at the byte after it
-    first, after = (np.flatnonzero(blank[1:] != blank[:-1]) + 1).reshape(-1, 2).T
-    lengths = after - first
-    if first.size % 2 == 0 and (lengths <= 8).all() and ((b - _ZERO < 10) | blank).all():
-        # a line's two fields have no newline between them, and a newline follows the second
-        gap_newline = newline[after[:-1]]  # the gap's first byte
-        wide = np.flatnonzero(first[1:] - after[:-1] > 1)
-        if wide.size:
-            ends = np.flatnonzero(newline)
-            gap_newline[wide] = np.searchsorted(ends, after[wide]) < np.searchsorted(ends, first[wide + 1])
-        if not gap_newline[0::2].any() and gap_newline[1::2].all():
-            # each field as the word of the 8 bytes that end with it, the bytes
-            # before it cleared, turned into its value by SWAR digit pairing
-            words = at_byte[start + after - 8] & _RUN_MASKS[lengths]
-            words = (words & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
-            words = (words & 0x00FF00FF00FF00FF) * 6553601 >> 16
-            words = (words & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
-            return words.astype(np.int64).reshape(-1, 2)
-    # the first faulty line: it has other than two fields, or a field that is not 1-8 digits
-    bad_field = np.logical_or.reduceat(~blank & (b - _ZERO >= 10), first) | (lengths > 8)
-    _, line, fields = np.unique(np.cumsum(newline)[first], return_inverse=True, return_counts=True)
-    wrong_count = (fields != 2)[line]
-    k = int(np.argmax(bad_field | wrong_count))
-    fault = "expected 'src<TAB>dst'" if wrong_count[k] else "bad endpoint"
-    raise DataError(f"edge file line {np.count_nonzero(buf[8 : start + first[k]] == _NEWLINE) + 1}: {fault}")
+    # canonical lines, `src<TAB>dst` and nothing else: one byte below '0' ends each field
+    ends = np.flatnonzero(b < _ZERO)  # the newline before the first line, then each field's end
+    lengths, ends = np.diff(ends) - 1, ends[1:]
+    if not (ends.size % 2 == 0 and b.max() <= _NINE and ((lengths - 1).astype(np.uint64) < 8).all()
+            and (b[ends[0::2]] == _TAB).all() and (b[ends[1::2]] == _NEWLINE).all()):
+        newline = b == _NEWLINE
+        blank = newline | (b == _TAB) | (b == _SPACE)
+        # fields: `blank` changes at a field's first byte and at the byte after it
+        first, ends = (np.flatnonzero(blank[1:] != blank[:-1]) + 1).reshape(-1, 2).T
+        lengths = ends - first
+        valid = first.size % 2 == 0 and (lengths <= 8).all() and ((b - _ZERO < 10) | blank).all()
+        if valid:
+            # a line's two fields have no newline between them, and a newline follows the second
+            gap_newline = newline[ends[:-1]]  # the gap's first byte
+            wide = np.flatnonzero(first[1:] - ends[:-1] > 1)
+            if wide.size:
+                lines = np.flatnonzero(newline)
+                gap_newline[wide] = np.searchsorted(lines, ends[wide]) < np.searchsorted(lines, first[wide + 1])
+            valid = not gap_newline[0::2].any() and gap_newline[1::2].all()
+        if not valid:  # the first faulty line: it has other than two fields, or a field that is not 1-8 digits
+            bad_field = np.logical_or.reduceat(~blank & (b - _ZERO >= 10), first) | (lengths > 8)
+            _, line, fields = np.unique(np.cumsum(newline)[first], return_inverse=True, return_counts=True)
+            wrong_count = (fields != 2)[line]
+            k = int(np.argmax(bad_field | wrong_count))
+            fault = "expected 'src<TAB>dst'" if wrong_count[k] else "bad endpoint"
+            raise DataError(f"edge file line {np.count_nonzero(buf[8 : start + first[k]] == _NEWLINE) + 1}: {fault}")
+    # each field as the word of the 8 bytes that end with it, the bytes before
+    # it cleared, turned into its value by SWAR digit pairing
+    words = at_byte[start + ends - 8] & _RUN_MASKS[lengths]
+    words = (words & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+    words = (words & 0x00FF00FF00FF00FF) * 6553601 >> 16
+    words = (words & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+    return words.astype(np.int64).reshape(-1, 2)
 
 
 _EDGE_ROWS = 8192
@@ -499,9 +537,9 @@ _EDGE_ROWS = 8192
 def write_graph_files(graph: Graph, node_file: Path | str, edge_file: Path | str) -> None:
     """Write canonical node/edge files (edges sorted, src < dst), every
     line ending in a newline."""
-    middles = {category: f"\t{kind}\t{token}\t" for (kind, token), (_, category) in _NODE_TYPES.items()}
+    middles = [f"\t{kind}\t{category}\t" for kind, category in _TYPE_TOKENS]
     Path(node_file).write_bytes("".join([
-        f"{j}{middles[node.category]}{node.name}\n" for j, node in enumerate(graph.nodes)
+        f"{j}{middles[code]}{name}\n" for j, (code, name) in enumerate(zip(graph.codes.tolist(), graph.names))
     ]).encode("utf-8"))
     src, src_keep = _id_fields(graph.num_nodes, _TAB)
     dst, dst_keep = _id_fields(graph.num_nodes, _NEWLINE)
@@ -627,31 +665,31 @@ def mask_target(graph: Graph, target: str) -> LabeledTask:
         if graph.find_manufacturer(target) is not None:
             raise DataError(f"target {target!r} is a manufacturer node, not a service")
         raise DataError(f"target service {target!r} not found")
-    target_node = graph.nodes[target_id]
+    _, category = _CODE_TYPES[graph.codes[target_id]]
 
     # Reindex: nodes above the target shift down by one, which keeps the edges in key order.
-    nodes = graph.nodes[:target_id] + graph.nodes[target_id + 1 :]
+    columns = NodeColumns(np.delete(graph.codes, target_id), graph.names[:target_id] + graph.names[target_id + 1 :])
     edges = graph.edge_array()
     at_target = edges == target_id
     neighbors = edges[at_target[:, ::-1] & graph.is_manufacturer[edges]]  # manufacturer ends of target edges, ascending
     edges = edges[~at_target.any(axis=1)]
-    masked = Graph(nodes, edges - (edges > target_id))
+    masked = Graph(columns, edges - (edges > target_id))
 
     positives = (neighbors - (neighbors > target_id)).tolist()
     labels = np.zeros(masked.num_nodes, dtype=np.int64)
     labels[positives] = 1
     removed = tuple((m, target) for m in positives)
-    assert target_node.category is not None
-    return LabeledTask(masked, labels, target, target_node.category, removed)
+    return LabeledTask(masked, labels, target, category, removed)
 
 
 def restore_target(task: LabeledTask) -> tuple[Graph, int]:
     """Rebuild the unmasked graph by re-adding the target node (appended last)
     and its manufacturer edges. Returns (graph, target id)."""
-    nodes = [*task.graph.nodes, service(task.target_name, task.target_category)]
-    target_id = len(nodes) - 1
+    g = task.graph
+    columns = NodeColumns(np.append(g.codes, _CATEGORY_CODE[task.target_category]), (*g.names, task.target_name))
+    target_id = g.num_nodes
     added = np.array([(m, target_id) for m, _ in task.removed_edges], dtype=np.int64).reshape(-1, 2)
-    return Graph(nodes, append_edges(task.graph.edge_array(), added)), target_id
+    return Graph(columns, append_edges(g.edge_array(), added)), target_id
 
 
 def append_edges(edges: np.ndarray, added: np.ndarray) -> np.ndarray:

@@ -285,7 +285,7 @@ def downsample_to_ratio(task: LabeledTask, target_ratio: float, seed: int = 0) -
     to_remove = stats.minority_size - keep_minority
     removable = [
         j for j in range(task.graph.num_nodes)
-        if task.labels[j] == stats.minority_label and task.graph.nodes[j].is_manufacturer
+        if task.labels[j] == stats.minority_label and task.graph.is_manufacturer[j]
     ]
     if to_remove > len(removable):
         raise DataError(

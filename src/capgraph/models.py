@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .graph import SPLIT_RATIOS, Graph, SplitAssignment, _frozen, _largest_remainder, read_exact
+from .graph import SPLIT_RATIOS, Graph, NodeColumns, SplitAssignment, _frozen, _largest_remainder, read_exact
 from .metrics import auc_pr, auc_roc
 from .seng import AugmentedGraph
 
@@ -152,6 +152,39 @@ class BlockOperator:
             out *= self.left[:, None]
         return out
 
+    def row_product(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(self @ x)[rows] for the ascending node ids `rows`, computing those rows alone."""
+        x = np.asarray(x, dtype=np.float64)
+        if self.right is not None:
+            x = self.right[:, None] * x
+        in_i, at_i, at_v = self._positions(rows)
+        out = np.empty((rows.size, x.shape[1]))
+        out[in_i] = self.b[at_i] @ x[self.ids_v]
+        out[~in_i] = self.b_vi[at_v] @ x[self.ids_i] + self.c[at_v] @ x[self.ids_v]
+        if self.loop:
+            out += x[rows]
+        if self.left is not None:
+            out *= self.left[rows, None]
+        return out
+
+    def row_support(self, rows: np.ndarray) -> np.ndarray:
+        """The ascending node ids `rows` and those whose rows of x the rows
+        `rows` of self @ x read: the nonzero columns of A in those rows."""
+        _, at_i, at_v = self._positions(rows)
+        ids = np.arange(self.b.shape[0] + self.c.shape[0])
+        read_i = self.b_vi[at_v].any(axis=0)
+        read_v = self.b[at_i].any(axis=0) | self.c[at_v].any(axis=0)
+        return np.union1d(rows, np.concatenate([ids[self.ids_i][read_i], ids[self.ids_v][read_v]]))
+
+    def _positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per node id of `rows`, whether it lies in I; the positions in I of
+        those that do, and in V of the others."""
+        n_i = self.b.shape[0]
+        rank = np.empty(n_i + self.c.shape[0], dtype=np.int64)  # position in I, or n_i + position in V
+        rank[self.ids_i], rank[self.ids_v] = np.arange(n_i), np.arange(n_i, rank.size)
+        at = rank[rows]
+        return at < n_i, at[at < n_i], at[at >= n_i] - n_i
+
     def row_sums(self) -> np.ndarray:
         """Row sums of A (node degrees for a 0/1 adjacency)."""
         sums = np.empty(self.b.shape[0] + self.c.shape[0])
@@ -225,10 +258,12 @@ class NeighborStep:
     op: BlockOperator | None
     concat: bool = False
 
-    def __call__(self, h: np.ndarray) -> np.ndarray:
+    def __call__(self, h: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """The step of h, or its rows `rows` (ascending node ids) alone."""
         if self.op is None:
-            return h
-        return np.hstack([h, self.op @ h]) if self.concat else self.op @ h
+            return h if rows is None else h[rows]
+        mixed = self.op @ h if rows is None else self.op.row_product(h, rows)
+        return np.hstack([h if rows is None else h[rows], mixed]) if self.concat else mixed
 
     def backward(self, dc: np.ndarray) -> np.ndarray:
         """dLoss/dh given dLoss/d(step(h))."""
@@ -286,18 +321,23 @@ def encode(
     params: ModelParameters,
     steps: tuple[NeighborStep, NeighborStep] | None = None,
     c1: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> EncoderCache:
     """Two-layer encoder pass (no head). `adjacency` is a graph (its cached
     blocks) or a dense p x p array; `steps`, when given, are its prebuilt
     `neighbor_steps`, and `c1`, when given, is `layer_input(features,
-    steps[0])`."""
+    steps[0])`. With `rows`, ascending node ids, layer 2 runs on those rows
+    alone: c2 holds them, and z2 and h2 are zero on every other row."""
     layer, head = neighbor_steps(params.kind, adjacency) if steps is None else steps
     if c1 is None:
         c1 = layer_input(features, layer)
     z1 = c1 @ params.w1
     h1 = np.maximum(z1, 0.0)
-    c2 = layer(h1)
+    c2 = layer(h1, rows)
     z2 = c2 @ params.w2
+    if rows is not None:
+        z2, z2_rows = np.zeros((h1.shape[0], z2.shape[1])), z2
+        z2[rows] = z2_rows
     h2 = np.maximum(z2, 0.0)
     return EncoderCache(layer, head, c1, z1, h1, c2, z2, h2)
 
@@ -308,13 +348,19 @@ def forward(
     params: ModelParameters,
     steps: tuple[NeighborStep, NeighborStep] | None = None,
     c1: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, EncoderCache]:
     """Node-classification pass, the encoder then the sigmoid head; returns
-    (P, cache). `steps` and `c1` are as in `encode`."""
+    (P, cache). `steps` and `c1` are as in `encode`. With `rows`, ascending
+    node ids, P holds those rows alone, and the pass computes what they read:
+    layer 1 on every node, layer 2 on the rows the head reads (GraphSAGE's
+    rows and their neighbours, GCN's rows themselves), the head on `rows`."""
     if params.w3 is None:
         raise DataError("model has no classification head")
-    cache = encode(features, adjacency, params, steps, c1)
-    cache.c3 = cache.head(cache.h2)
+    layer, head = neighbor_steps(params.kind, adjacency) if steps is None else steps
+    reads = rows if rows is None or head.op is None else head.op.row_support(rows)  # the rows of h2 the head reads
+    cache = encode(features, adjacency, params, (layer, head), c1, reads)
+    cache.c3 = cache.head(cache.h2, rows)
     cache.z3 = cache.c3 @ params.w3
     cache.p = _sigmoid(cache.z3)[:, 0]
     return cache.p, cache
@@ -451,12 +497,17 @@ class TrainConfig:
             raise DataError("maximum epochs must be >= 1")
         if not self.patience >= 0:
             raise DataError("patience must be >= 0")
-        if not 0 <= self.threshold <= 1:
-            raise DataError("classification threshold must be in [0, 1]")
+        check_threshold(self.threshold)
         if self.fanout is not None and not self.fanout >= 1:
             raise DataError("fanout must be >= 1")
         if not self.seed >= 0:
             raise DataError("seed must be >= 0")
+
+
+def check_threshold(threshold: float) -> None:
+    """Raise unless the classification threshold is in [0, 1] (NaN is not)."""
+    if not 0 <= threshold <= 1:
+        raise DataError("classification threshold must be in [0, 1]")
 
 
 def predict_labels(p: np.ndarray, threshold: float = TrainConfig.threshold) -> np.ndarray:
@@ -692,7 +743,7 @@ def train_link_predictor(
     check_fanout_scope(config, kind, "link")
     rng = np.random.default_rng(config.seed)
     link_split = split_link_edges(graph, target_services, ratios, rng)
-    message = Graph(graph.nodes, link_split.message_edges)
+    message = Graph(NodeColumns(graph.codes, graph.names), link_split.message_edges)
     params = init_parameters(kind, features.shape[1], config.d_hidden, rng, with_head=False)
     steps = neighbor_steps(kind, message)
     c1 = layer_input(features, steps[0])

@@ -17,14 +17,15 @@ import numpy as np
 
 from .errors import DataError
 from .graph import (
+    MANUFACTURER_CODE,
     ClassStats,
     Graph,
     LabeledTask,
+    NodeColumns,
     Split,
     SplitAssignment,
     append_edges,
     compute_imbalance,
-    manufacturer,
 )
 
 ISOLATED_RETRY_LIMIT = 16
@@ -137,7 +138,7 @@ def oversample(task: LabeledTask, split: SplitAssignment, config: SengConfig) ->
 
     minority_pool = [
         j for j in train_ids
-        if task.labels[j] == stats.minority_label and task.graph.nodes[j].is_manufacturer
+        if task.labels[j] == stats.minority_label and task.graph.is_manufacturer[j]
     ]
     if not minority_pool:
         raise DataError("training split has no minority-class manufacturer nodes to seed")
@@ -153,11 +154,12 @@ def oversample(task: LabeledTask, split: SplitAssignment, config: SengConfig) ->
             generate_synthetic_node(base, minority_pool, rng, config.alpha_choices, node_id=p + k)
         )
 
-    nodes = list(base.nodes) + [manufacturer(f"synthetic-{rec.node - p}") for rec in records]
+    columns = NodeColumns(np.append(base.codes, np.full(count, MANUFACTURER_CODE)),
+                          (*base.names, *(f"synthetic-{rec.node - p}" for rec in records)))
     # each synthetic edge (service, node) in ascending order, merged behind its service's edges
     added = np.array([(s, rec.node) for rec in records for s in rec.attached_services], dtype=np.int64).reshape(-1, 2)
     added = added[np.lexsort((added[:, 1], added[:, 0]))]
-    combined = Graph(nodes, append_edges(base.edge_array(), added))
+    combined = Graph(columns, append_edges(base.edge_array(), added))
 
     labels = np.concatenate([task.labels, np.full(count, stats.minority_label, dtype=np.int64)])
     assignment = dict(split.assignment)

@@ -560,6 +560,57 @@ def test_train_eval_predict_never_build_a_dense_adjacency(planted_dir, tmp_path,
     assert _train(planted_dir, tmp_path / "link", "--method", "plain", "--task", "link") == 0
 
 
+def test_predict_never_builds_the_node_objects_or_the_edge_array(planted_dir, tmp_path, monkeypatch):
+    from capgraph.graph import Graph
+
+    runs = []
+    for method in ("plain", "sf"):  # sf: synthetic manufacturers follow the services, so I is split
+        for encoder in ("graphsage", "gcn"):
+            runs.append(tmp_path / f"{method}-{encoder}")
+            assert _train(planted_dir, runs[-1], "--method", method, "--encoder", encoder) == 0
+
+    def refuse(*_):
+        raise AssertionError("predict reached Graph.nodes or Graph.edge_array")
+
+    monkeypatch.setattr(Graph, "nodes", property(refuse))
+    monkeypatch.setattr(Graph, "edge_array", refuse)
+    for run in runs:
+        assert main(["predict", "--run-dir", str(run), "--name", "maker-00000"]) == 0
+
+
+@pytest.mark.parametrize("method", ["plain", "sf"])
+@pytest.mark.parametrize("encoder", ["graphsage", "gcn"])
+def test_predict_prints_the_full_forward_line_for_every_manufacturer(tmp_path, capsys, method, encoder):
+    from capgraph.features import load_matrix
+    from capgraph.models import forward, load_checkpoint
+
+    assert main(["gen-planted", "--manufacturers", "60", "--seed", "1", "--out", str(tmp_path / "data")]) == 0
+    run = tmp_path / "run"
+    assert _train(tmp_path / "data", run, "--method", method, "--encoder", encoder) == 0
+    graph = load_graph(run / "nodes.tsv", run / "edges.tsv")
+    probs, _ = forward(load_matrix(run / "features.bin"), graph, load_checkpoint(run / "checkpoint.bin"))
+    threshold = json.loads((run / "config.json").read_text())["train"]["threshold"]
+    capsys.readouterr()
+    for j in graph.manufacturer_ids():
+        name = graph.names[j]
+        assert main(["predict", "--run-dir", str(run), "--name", name]) == 0
+        assert capsys.readouterr().out == f"{name}\t{probs[j]:.6f}\t{int(probs[j] > threshold)}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "5", "inf", "-1"])
+def test_predict_threshold_outside_the_unit_interval_exit_2(trained_run, tmp_path, capsys, value):
+    message = "data error: classification threshold must be in [0, 1]\n"
+    assert main(["predict", "--run-dir", str(trained_run), "--name", "maker-00000", "--threshold", value]) == 2
+    assert capsys.readouterr().err == message
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    config = json.loads((run / "config.json").read_text())
+    config["train"]["threshold"] = float(value)  # written as NaN, 5.0, Infinity and -1.0
+    (run / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["predict", "--run-dir", str(run), "--name", "maker-00000"]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_config_file_and_flag_override(planted_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"train": {"max_epochs": 7}}), encoding="utf-8")

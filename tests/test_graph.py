@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from capgraph.errors import DataError
 from capgraph.graph import (
     Graph,
+    Kind,
+    NodeKind,
     ServiceCategory,
     Split,
     _edge_table,
@@ -30,7 +32,7 @@ from capgraph.graph import (
     write_graph_files,
 )
 
-from conftest import random_bipartite_graph, small_mixed_graph, star_graph
+from conftest import graph_layouts, random_bipartite_graph, small_mixed_graph, star_graph
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +512,34 @@ def test_tokenize_strips_punctuation_and_case():
 # ---------------------------------------------------------------------------
 # Type codes.
 # ---------------------------------------------------------------------------
+
+
+def test_blocks_equal_the_cuts_of_the_dense_adjacency_on_every_layout(tmp_path):
+    # planted: I a run from 0, scattered from the keys; interleaved and SENG: I split, scattered through positions
+    for layout, graph in graph_layouts(tmp_path).items():
+        p, a = graph.num_nodes, graph.dense_adjacency()
+        ids_i, ids_v, b, b_vi, c = graph.adjacency_blocks()
+        rows_i, rows_v = np.arange(p)[ids_i], np.arange(p)[ids_v]
+        assert rows_i.tolist() == np.flatnonzero(graph.is_manufacturer).tolist(), layout
+        assert rows_v.tolist() == np.flatnonzero(~graph.is_manufacturer).tolist(), layout
+        assert isinstance(ids_i, slice) == (layout == "planted")
+        assert np.array_equal(b, a[np.ix_(rows_i, rows_v)]), layout
+        assert np.array_equal(b_vi, a[np.ix_(rows_v, rows_i)]), layout
+        assert np.array_equal(c, a[np.ix_(rows_v, rows_v)]), layout
+
+
+def test_a_loaded_graph_builds_the_nodes_its_file_lists_on_first_use(tmp_path):
+    lines = ["2\tservice\tmaterial\tsteel", "0\tmanufacturer\t-\tacme", "3\tmanufacturer\t-\tbolt co",
+             "1\tservice\tcertification\tiso 9001"]
+    (tmp_path / "nodes.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "edges.tsv").write_text("0\t1\n1\t3\n", encoding="utf-8")
+    g = load_graph(tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
+    assert "nodes" not in vars(g)  # read as columns
+    want = tuple(NodeKind(Kind(kind), None if category == "-" else ServiceCategory(category), name)
+                 for _, kind, category, name in sorted((line.split("\t") for line in lines), key=lambda f: int(f[0])))
+    assert g.nodes == want
+    assert g.codes.tolist() == [node.type_code for node in want] and g.names == tuple(n.name for n in want)
+    assert g == Graph(want, [(0, 1), (1, 3)]) and g.find_manufacturer("bolt co") == 3
 
 
 def test_type_codes_all_five_kinds(mixed_graph):

@@ -53,7 +53,7 @@ from capgraph.models import (
 from capgraph.seng import without_oversampling
 from capgraph.harness import PlantedDatasetSpec, generate_planted_dataset, planted_task
 
-from conftest import edge_set, random_bipartite_graph
+from conftest import edge_set, graph_layouts, random_bipartite_graph
 
 
 def _six_node_instance(seed: int, feature_scale: float = 0.4):
@@ -266,6 +266,24 @@ def test_the_forward_pass_reads_the_blocks_and_builds_no_csr(kind):
     rng = np.random.default_rng(4)
     forward(rng.normal(size=(graph.num_nodes, 3)), graph, init_parameters(kind, 3, 4, rng))
     assert "_csr" not in vars(graph)
+
+
+@pytest.mark.parametrize("kind", ["graphsage", "gcn"])
+def test_forward_over_rows_equals_the_full_forward_in_those_rows(tmp_path, kind):
+    for layout, graph in graph_layouts(tmp_path).items():
+        rng = np.random.default_rng(5)
+        p = graph.num_nodes
+        x = rng.normal(0.0, 0.5, size=(p, 3))
+        params = init_parameters(kind, 3, 8, rng)
+        full, _ = forward(x, graph, params)
+        a = graph.dense_adjacency()
+        for rows in ([0], [p - 1], np.sort(rng.choice(p, 7, replace=False)), np.arange(p)):
+            rows = np.asarray(rows)
+            got, cache = forward(x, graph, params, rows=rows)
+            assert got.shape == rows.shape and np.abs(got - full[rows]).max() <= 1e-12, layout
+            # layer 2 runs on the rows the head reads: GraphSAGE's rows and their neighbours, GCN's rows
+            reads = np.union1d(rows, np.flatnonzero(a[rows].any(axis=0))) if kind == "graphsage" else rows
+            assert cache.c2.shape[0] == reads.size, layout
 
 
 def test_neighborhood_mean_hand_case():
@@ -680,8 +698,8 @@ def test_shared_layer_input_keeps_training_bit_identical(monkeypatch, kind):
     shared_logs, shared_weights = train()
     # every `encode` forms its own layer-1 input, as each epoch once did
     encode_alone = models.encode
-    monkeypatch.setattr(models, "encode", lambda features, adjacency, params, steps=None, c1=None:
-                        encode_alone(features, adjacency, params, steps))
+    monkeypatch.setattr(models, "encode", lambda features, adjacency, params, steps=None, c1=None, rows=None:
+                        encode_alone(features, adjacency, params, steps, rows=rows))
     logs, weights = train()
     assert shared_logs == logs
     for a, b in zip(shared_weights, weights, strict=True):
