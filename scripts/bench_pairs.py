@@ -11,12 +11,19 @@ the parent first on even pairs, the change first on odd ones. Each run
 appends one JSON line to `--out`: {"set", "workload", "side", "seed",
 "pair", "result"}, the result being the benchmark's own last line.
 
-The summary gives, per workload and end-to-end metric, each side's median
-and quartiles over the pairs, and the number of pairs the change won (ties
-count for neither). A gain holds when the change won at least nine in ten
-pairs, at least ten were run, and the medians lie further apart than the
-parent's interquartile range. Which way is better comes from
-BENCHMARK.json. Only the standard library is used.
+The summary applies the three rules that decide whether a change lands.
+Per workload and end-to-end metric it gives each side's median and
+quartiles over the pairs, and the number of pairs the change won (ties
+count for neither), then:
+  - the gain rule: the change won at least nine in ten pairs, at least ten
+    were run, and the medians lie further apart than the parent's
+    interquartile range;
+  - the bound rule: the change's median is no worse than the parent's by
+    more than the metric's bound, a fraction of the parent's median.
+Per workload it then gives each side's share of failed operations (failed
+of attempted, summed over the pairs); the failure rule holds when the
+change's share is no larger than the parent's. Which way is better, and
+each bound, come from BENCHMARK.json. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -76,8 +83,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
-def summarize(records: list[dict], better: dict[str, str]) -> list[str]:
-    """Per set of records and workload, one line per metric, in the order the records first name them."""
+def summarize(records: list[dict], better: dict[str, str], bounds: dict[str, float]) -> list[str]:
+    """Per set of records and workload, one line per metric, in the order
+    `better` names them, then one line on the failed operations."""
     runs: dict[tuple[str, str], dict[str, dict[int, dict]]] = {}  # (set, workload) -> side -> pair -> result
     for r in filter(lambda r: "pair" in r, records):  # records made without pairing carry no pair
         runs.setdefault((r["set"], r["workload"]), {}).setdefault(r["side"], {})[r["pair"]] = r["result"]
@@ -97,10 +105,19 @@ def summarize(records: list[dict], better: dict[str, str]) -> list[str]:
             won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
             (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
             holds = len(both) >= 10 and won >= 0.9 * len(both) and abs(bm - am) > a3 - a1
+            within = -sign * (bm - am) <= bounds[metric] * abs(am)
             change_pct = (bm - am) / am * 100 if am else float("nan")
             lines.append(
                 f"  {metric:12s} parent {am:.6g} [{a1:.6g}, {a3:.6g}]  change {bm:.6g} [{b1:.6g}, {b3:.6g}]"
-                f"  {change_pct:+.1f}%  won {won}/{len(both)}  gain rule {'holds' if holds else 'does not hold'}")
+                f"  {change_pct:+.1f}%  won {won}/{len(both)}  gain rule {'holds' if holds else 'does not hold'}"
+                f"  {'within' if within else 'worse than'} its {bounds[metric]:.0%} bound")
+        shares = {}
+        for side, results in (("parent", parent), ("change", change)):
+            failed, attempted = (sum(results[p][key] for p in pairs) for key in ("failed", "attempted"))
+            shares[side] = failed / attempted if attempted else 0.0
+            lines.append(f"  failed ops   {side} {failed} of {attempted} ({shares[side]:.2%})")
+        rule = "holds" if shares["change"] <= shares["parent"] else "does not hold: more operations failed"
+        lines[-1] += f"  failure rule {rule}"
     return lines
 
 
@@ -117,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     benchmark = json.loads(((args.change or Path(".")) / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     path = args.summarize
     if path is None:
         if not (args.parent and args.change and args.workload and args.seeds and args.out):
@@ -126,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         run_pairs(trees, args.workload, args.seeds, seconds, args.label, args.out)
         path = args.out
     records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
-    print("\n".join(summarize(records, better)))
+    print("\n".join(summarize(records, better, bounds)))
     return 0
 
 

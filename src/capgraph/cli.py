@@ -29,9 +29,11 @@ from .graph import (
     load_assignment,
     load_corpus,
     load_graph,
+    load_saved_graph,
     load_service_edges,
     load_services,
     mask_target,
+    save_graph,
     write_assignment,
     write_graph_files,
 )
@@ -323,6 +325,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     })
     if method.task == "node":
         write_graph_files(artifacts.aug.graph, out_dir / "nodes.tsv", out_dir / "edges.tsv")
+        save_graph(artifacts.aug.graph, out_dir / "graph.bin")
         save_matrix(artifacts.features.features, out_dir / "features.bin")
         if artifacts.features.f1 is not None:
             save_matrix(artifacts.features.f1, out_dir / "f1.bin")
@@ -349,8 +352,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_run_dir(run_dir: Path) -> tuple[Graph, np.ndarray, ModelParameters, dict, int]:
     """The graph, features, checkpoint, config and seed of a run directory,
-    checked against each other; `assignment.tsv` is left to `eval`."""
-    graph = load_graph(run_dir / "nodes.tsv", run_dir / "edges.tsv")
+    checked against each other; `assignment.tsv` is left to `eval`. The
+    graph is read from `graph.bin` alone: `nodes.tsv` and `edges.tsv` are
+    its text copy."""
+    graph = load_saved_graph(run_dir / "graph.bin")
     features = load_matrix(run_dir / "features.bin")
     params = load_checkpoint(run_dir / "checkpoint.bin")
     try:
@@ -433,6 +438,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if node_id is None:
         raise DataError(f"unknown manufacturer {args.name!r}")
     probs, _ = forward(features, graph, params, rows=np.array([node_id]))
+    if np.isnan(probs[0]):  # finite inputs whose products overflowed
+        raise NumericError(f"the score of {args.name!r} is NaN")
     print(f"{args.name}\t{probs[0]:.6f}\t{int(predict_labels(probs, threshold)[0])}")
     return 0
 

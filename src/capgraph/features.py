@@ -511,4 +511,7 @@ def load_matrix(path: Path | str) -> np.ndarray:
         if width != 8:
             raise DataError(f"{path}: unsupported element width {width}")
         payload = read_exact(fh, rows * cols * 8, f"{path}: truncated matrix payload")
-        return np.frombuffer(payload, dtype=np.float64).reshape(rows, cols).copy()
+    matrix = np.frombuffer(payload, dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        raise DataError(f"{path}: matrix holds a NaN or infinite value")
+    return matrix.reshape(rows, cols).copy()

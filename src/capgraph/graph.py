@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import re
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -565,6 +566,56 @@ def _id_fields(p: int, end: int) -> tuple[np.ndarray, np.ndarray]:
     keep[:, :width] = (ids >= powers) | (powers == 1)
     void = np.dtype((np.void, width + 1))
     return field.view(void).ravel(), keep.view(void).ravel()
+
+
+# ---------------------------------------------------------------------------
+# Binary graph file: magic, node and edge counts (<QQ), one int8 type code
+# per node, the ascending int64 edge keys u * p + v, then the UTF-8 names
+# joined by newlines.
+# ---------------------------------------------------------------------------
+
+_GRAPH_MAGIC = b"CGGR"
+
+
+def save_graph(graph: Graph, path: Path | str) -> None:
+    """Write the graph's columns and edge keys as one binary file."""
+    with Path(path).open("wb") as fh:
+        fh.write(_GRAPH_MAGIC)
+        fh.write(struct.pack("<QQ", graph.num_nodes, graph.num_edges))
+        fh.write(graph.codes.tobytes())
+        fh.write(graph.keys.astype("<i8", copy=False).tobytes())
+        fh.write("\n".join(graph.names).encode("utf-8"))
+
+
+def load_saved_graph(path: Path | str) -> Graph:
+    """The graph of a file written by `save_graph`. Only the container is
+    checked here: its sizes, the type codes, and one UTF-8 name without a tab
+    per node. The edges then pass `Graph`'s own checks. Every fault is a
+    DataError that names the file."""
+    with Path(path).open("rb") as fh:
+        if fh.read(4) != _GRAPH_MAGIC:
+            raise DataError(f"{path}: not a capgraph graph file")
+        p, m = struct.unpack("<QQ", read_exact(fh, 16, f"{path}: truncated graph header"))
+        codes = np.frombuffer(read_exact(fh, p, f"{path}: truncated type codes"), dtype=np.uint8)
+        keys = np.frombuffer(read_exact(fh, 8 * m, f"{path}: truncated edge keys"), dtype="<i8")
+        data = fh.read()
+    if p and codes.max() >= len(_TYPE_TOKENS):
+        raise DataError(f"{path}: unknown type code {codes.max()}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: node names are not UTF-8 ({exc.reason})") from None
+    names = tuple(text.split("\n"))
+    if len(names) != p:
+        raise DataError(f"{path}: {len(names)} node names for {p} nodes")
+    if "\t" in text:
+        raise DataError(f"{path}: a node name contains a tab")
+    edges = np.empty((m, 2), dtype=np.int64)
+    np.divmod(keys, p, out=(edges[:, 0], edges[:, 1]))
+    try:
+        return Graph(NodeColumns(codes.view(np.int8), names), edges)
+    except _EdgeFault as exc:
+        raise DataError(f"{path}: edge key {keys[exc.row]}: {exc.fault}") from None
 
 
 def load_corpus(corpus_file: Path | str) -> dict[str, str]:

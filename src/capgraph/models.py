@@ -811,6 +811,8 @@ def load_checkpoint(path: Path | str) -> ModelParameters:
                 continue
             payload = read_exact(fh, rows * cols * 8, f"{path}: truncated checkpoint payload")
             mats.append(np.frombuffer(payload, dtype=np.float64).reshape(rows, cols).copy())
+            if not np.isfinite(mats[-1]).all():
+                raise DataError(f"{path}: weights hold a NaN or infinite value")
     w1, w2, w3 = mats
     if w1 is None or w2 is None:
         raise DataError(f"{path}: checkpoint missing encoder weights")

@@ -327,7 +327,7 @@ def test_criterion_8_train_determinism(tmp_path):
         outs.append(out)
     identical = {}
     for name in ("checkpoint.bin", "metrics.csv", "features.bin", "nodes.tsv",
-                 "edges.tsv", "assignment.tsv", "training_log.csv"):
+                 "edges.tsv", "graph.bin", "assignment.tsv", "training_log.csv"):
         identical[name] = (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     ok = all(identical.values())
     _report(8, ok, "byte-identical: " + ", ".join(k for k, v in identical.items()))

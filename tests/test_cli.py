@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import asdict
@@ -176,7 +177,7 @@ def test_train_writes_artifacts(planted_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert _train(planted_dir, out) == 0
     for name in (
-        "config.json", "nodes.tsv", "edges.tsv", "features.bin", "checkpoint.bin",
+        "config.json", "nodes.tsv", "edges.tsv", "graph.bin", "features.bin", "checkpoint.bin",
         "assignment.tsv", "training_log.csv", "metrics.csv", "report.json", "seng_audit.tsv",
         "f1.bin", "f2.bin",
     ):
@@ -201,7 +202,7 @@ def test_train_deterministic_artifacts(planted_dir, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert _train(planted_dir, out1) == 0
     assert _train(planted_dir, out2) == 0
-    for name in ("checkpoint.bin", "metrics.csv", "features.bin", "nodes.tsv", "edges.tsv"):
+    for name in ("checkpoint.bin", "metrics.csv", "features.bin", "nodes.tsv", "edges.tsv", "graph.bin"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
@@ -444,6 +445,8 @@ def test_eval_assignment_label_not_binary_exit_2(trained_run, tmp_path, capsys):
     ("assignment.tsv", "not-utf8"),
     ("checkpoint.bin", "missing"),
     ("checkpoint.bin", "directory"),
+    ("graph.bin", "missing"),  # a run directory from a build that wrote only the text graph
+    ("graph.bin", "directory"),
 ])
 def test_eval_unreadable_run_file_exit_2(trained_run, tmp_path, capsys, name, how):
     run = tmp_path / "run"
@@ -477,6 +480,21 @@ def test_eval_and_predict_nonzero_flags_byte_exit_2(trained_run, tmp_path, capsy
     assert _eval_damaged(trained_run, tmp_path, "checkpoint.bin", lambda b: b[:5] + b"\x01" + b[6:]) == 2
     assert main(["predict", "--run-dir", str(tmp_path / "run"), "--name", "maker-00000"]) == 2
     assert capsys.readouterr().err.count("reserved flags byte is 1") == 2
+
+
+_NAN, _INF = struct.pack("<d", float("nan")), struct.pack("<d", float("inf"))
+
+
+@pytest.mark.parametrize("name, value, fault", [
+    ("features.bin", _NAN, "matrix holds a NaN or infinite value"),
+    ("features.bin", _INF, "matrix holds a NaN or infinite value"),
+    ("checkpoint.bin", _INF, "weights hold a NaN or infinite value"),
+], ids=["features-nan", "features-inf", "checkpoint-inf"])
+def test_eval_and_predict_non_finite_run_file_exit_2(trained_run, tmp_path, capsys, name, value, fault):
+    at = 16 if name == "features.bin" else 20  # the first value: after the header, and w1's shape in a checkpoint
+    assert _eval_damaged(trained_run, tmp_path, name, lambda b: b[:at] + value + b[at + 8 :]) == 2
+    assert main(["predict", "--run-dir", str(tmp_path / "run"), "--name", "maker-00000"]) == 2
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'run' / name}: {fault}\n" * 2
 
 
 def test_predict_known_and_unknown(planted_dir, tmp_path, capsys):
@@ -522,6 +540,21 @@ def test_predict_boundary_half_maps_to_zero(planted_dir, tmp_path, capsys):
     _, prob, label = capsys.readouterr().out.strip().split("\t")
     assert float(prob) == 0.5
     assert label == "0"
+
+
+def test_predict_nan_score_from_finite_weights_exits_3(trained_run, tmp_path, capsys):
+    from capgraph.models import load_checkpoint, save_checkpoint
+
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    params = load_checkpoint(run / "checkpoint.bin")
+    for w in params.weights():
+        w[:] = 1e300  # finite, but the head adds infinite terms of both signs
+    params.w3[::2] *= -1
+    save_checkpoint(params, run / "checkpoint.bin")
+    assert main(["predict", "--run-dir", str(run), "--name", "maker-00000"]) == 3
+    assert capsys.readouterr().err == "numeric failure: the score of 'maker-00000' is NaN\n"
+    assert main(["eval", "--run-dir", str(run)]) == 3
 
 
 def test_predict_config_without_threshold_exit_2(trained_run, tmp_path, capsys):
@@ -576,6 +609,27 @@ def test_predict_never_builds_the_node_objects_or_the_edge_array(planted_dir, tm
     monkeypatch.setattr(Graph, "edge_array", refuse)
     for run in runs:
         assert main(["predict", "--run-dir", str(run), "--name", "maker-00000"]) == 0
+
+
+def test_eval_and_predict_read_the_graph_from_graph_bin_alone(trained_run, tmp_path, monkeypatch, capsys):
+    import capgraph.cli
+    import capgraph.graph
+
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    commands = [["eval", "--run-dir", str(run)], ["predict", "--run-dir", str(run), "--name", "maker-00000"]]
+    assert [main(command) for command in commands] == [0, 0]
+    intact = capsys.readouterr().out
+
+    def refuse(*_):
+        raise AssertionError("load_graph called")
+
+    monkeypatch.setattr(capgraph.cli, "load_graph", refuse)
+    monkeypatch.setattr(capgraph.graph, "load_graph", refuse)
+    (run / "nodes.tsv").unlink()
+    (run / "edges.tsv").unlink()
+    assert [main(command) for command in commands] == [0, 0]
+    assert capsys.readouterr().out == intact
 
 
 @pytest.mark.parametrize("method", ["plain", "sf"])

@@ -38,6 +38,7 @@ CASES = [
     ("run/assignment.tsv", "run/assignment.tsv", [EVAL], {2}),
     ("run/features.bin", "run/features.bin", [EVAL, PREDICT], {2}),
     ("run/checkpoint.bin", "run/checkpoint.bin", [EVAL, PREDICT], {2}),
+    ("run/graph.bin", "run/graph.bin", [EVAL, PREDICT], {2}),
     ("run/config.json", "run/config.json", [EVAL, PREDICT], {2}),
     # --config: a bad value is a configuration error (1), a rejected setting a data error (2)
     ("config.json", "run/config.json", [[*TRAIN, "--config", "{r}/config.json"]], {1, 2}),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ from capgraph.graph import (
     init_type_codes,
     load_assignment,
     load_graph,
+    load_saved_graph,
     manufacturer,
     mask_target,
     read_records,
     restore_target,
+    save_graph,
     service,
     stratified_split,
     tokenize,
@@ -283,6 +286,45 @@ def test_load_graph_reads_back_what_write_graph_files_wrote(tmp_path_factory, gr
     out = tmp_path_factory.mktemp("graph")
     write_graph_files(g, out / "n.tsv", out / "e.tsv")
     assert load_graph(out / "n.tsv", out / "e.tsv") == g
+
+
+def test_a_saved_graph_loads_equal_on_every_layout(tmp_path):
+    for layout, graph in graph_layouts(tmp_path).items():
+        save_graph(graph, tmp_path / f"{layout}.bin")
+        assert load_saved_graph(tmp_path / f"{layout}.bin") == graph, layout
+
+
+def _graph_bin(codes: list[int], keys: list[int], names: bytes) -> bytes:
+    """A graph file's bytes, laid out as the format says."""
+    return b"CGGR" + struct.pack("<QQ", len(codes), len(keys)) + bytes(codes) + np.array(keys, "<i8").tobytes() + names
+
+
+# small_mixed_graph's columns and edge keys
+_CODES, _KEYS = [0, 0, 0, 0, 1, 2, 3, 4], [4, 5, 13, 14, 22, 23, 31, 37]
+_NAMES = b"alpha\nbeta\ngamma\ndelta\nautomotive\nmachining\ncopper\niso 9001"
+
+
+def test_save_graph_writes_the_documented_layout(tmp_path):
+    save_graph(small_mixed_graph(), tmp_path / "graph.bin")
+    assert (tmp_path / "graph.bin").read_bytes() == _graph_bin(_CODES, _KEYS, _NAMES)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"CGMX" + _graph_bin(_CODES, _KEYS, _NAMES)[4:], "not a capgraph graph file"),
+    (_graph_bin(_CODES, _KEYS, _NAMES)[:30], "truncated edge keys"),
+    (_graph_bin(_CODES[:7] + [5], _KEYS, _NAMES), "unknown type code 5"),
+    (_graph_bin(_CODES, _KEYS, _NAMES.rsplit(b"\n", 1)[0]), "7 node names for 8 nodes"),
+    (_graph_bin(_CODES, _KEYS, _NAMES.replace(b"beta", b"be\tta")), "a node name contains a tab"),
+    (_graph_bin(_CODES, _KEYS, _NAMES.replace(b"beta", b"be\xffta")), "node names are not UTF-8"),
+    (_graph_bin(_CODES, _KEYS[:-1] + [64], _NAMES), r"edge key 64: dangling endpoint \(8, 0\)"),
+    (_graph_bin(_CODES, [1, *_KEYS], _NAMES), r"edge key 1: manufacturer-manufacturer edge \(0, 1\) is not allowed"),
+], ids=["bad-magic", "truncated", "unknown-code", "name-count", "tab-in-name", "not-utf8", "dangling-key",
+        "manufacturer-manufacturer-key"])
+def test_load_saved_graph_rejects_a_malformed_file_naming_it(tmp_path, content, message):
+    path = tmp_path / "graph.bin"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+        load_saved_graph(path)
 
 
 def test_the_stored_keys_and_the_edge_array_are_read_only(mixed_graph):
