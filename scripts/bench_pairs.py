@@ -23,7 +23,8 @@ count for neither), then:
 Per workload it then gives each side's share of failed operations (failed
 of attempted, summed over the pairs); the failure rule holds when the
 change's share is no larger than the parent's. Which way is better, and
-each bound, come from BENCHMARK.json. Only the standard library is used.
+each bound, come from the BENCHMARK.json of `--change`, or else of
+the repository the script sits in. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+ROOT = Path(__file__).resolve().parents[1]  # the repository this script sits in
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -132,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, help="JSON-lines file the records are appended to")
     parser.add_argument("--summarize", type=Path, help="summarize this records file instead of running")
     args = parser.parse_args(argv)
-    benchmark = json.loads(((args.change or Path(".")) / "BENCHMARK.json").read_text(encoding="utf-8"))
+    benchmark = json.loads(((args.change or ROOT) / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     path = args.summarize

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .graph import Graph, read_exact, tokenize
-from .seng import AugmentedGraph
 
 FEATURE_DIM = 3
 
@@ -68,15 +67,14 @@ class TsneConfig:
             raise DataError("t-SNE learning rate must be positive and finite")
 
 
-def build_neighbor_paragraphs(graph: Graph | AugmentedGraph) -> dict[int, list[str]]:
+def build_neighbor_paragraphs(graph: Graph) -> dict[int, list[str]]:
     """Map each manufacturer id to the normalized tokens of its service
     neighbors' names, neighbors taken in ascending id order."""
-    g = graph.graph if isinstance(graph, AugmentedGraph) else graph
-    service_tokens = {s: tokenize(g.names[s]) for s in g.service_ids()}  # paragraphs share these strings
+    service_tokens = {s: tokenize(graph.names[s]) for s in graph.service_ids()}  # paragraphs share these strings
     paragraphs: dict[int, list[str]] = {}
-    for q in g.manufacturer_ids():
+    for q in graph.manufacturer_ids():
         tokens: list[str] = []
-        for s in g.service_neighbors(q):
+        for s in graph.service_neighbors(q):
             tokens.extend(service_tokens[s])
         paragraphs[q] = tokens
     return paragraphs

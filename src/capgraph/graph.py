@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import compress, count, repeat
 from operator import attrgetter, eq, is_not
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -330,16 +330,7 @@ def init_type_codes(graph: Graph) -> np.ndarray:
 
 _KIND_TOKENS = {k.value: k for k in Kind}
 _CATEGORY_TOKENS = {c.value: c for c in ServiceCategory}
-_TAB, _NEWLINE, _SPACE, _ZERO, _NINE = b"\t\n 09"
-
-
-def read_records(path: Path | str, fields: int, what: str) -> Iterator[tuple[int, list[str]]]:
-    """The records of a UTF-8 line file as (line number, parts), then the
-    DataError that ends them, if any (see `_records`)."""
-    linenos, columns, error = _records(path, fields, what)
-    yield from zip(linenos, map(list, zip(*columns)))
-    if error is not None:
-        raise error
+_TAB, _NEWLINE, _SPACE, _ZERO = b"\t\n 0"
 
 
 def _records(path: Path | str, fields: int, what: str) -> tuple[list[int], list[Sequence[str]], DataError | None]:
@@ -362,11 +353,9 @@ def _records(path: Path | str, fields: int, what: str) -> tuple[list[int], list[
     if tabs and min(tabs) < fields - 1:  # the records stop at the first short line
         k = next(compress(count(), map((fields - 1).__gt__, tabs)))
         error = DataError(f"{what} {path} line {linenos[k]}: expected {fields} tab-separated fields, got {tabs[k] + 1}")
-        del linenos[k:], lines[k:], tabs[k:]
-    if tabs and max(tabs) > fields - 1:  # a last part holds tabs
-        return linenos, list(zip(*map(str.split, lines, repeat("\t"), repeat(fields - 1)))), error
-    cells = "\t".join(lines).split("\t") if lines else []
-    return linenos, [cells[k::fields] for k in range(fields)], error
+        del linenos[k:], lines[k:]
+    columns = list(zip(*map(str.split, lines, repeat("\t"), repeat(fields - 1))))
+    return linenos, columns or [()] * fields, error  # no records: `fields` empty columns
 
 
 def _not_utf8(what: str, path: Path | str, exc: UnicodeDecodeError) -> DataError:
@@ -405,8 +394,6 @@ def _integer(text: str) -> int | None:
 
 def _firsts(values: list) -> list[bool]:
     """Per value, whether no equal value comes before it."""
-    if len(set(values)) == len(values):
-        return [True] * len(values)
     first = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
     return list(map(eq, map(first.__getitem__, values), count()))
 
@@ -419,22 +406,17 @@ _TYPE_CODES = {tokens: code for code, tokens in enumerate(_TYPE_TOKENS)}
 def _read_nodes(path: Path) -> NodeColumns:
     """The nodes of a node file, its lines in any order, by id."""
     linenos, (raw_ids, kinds, categories, names), error = _records(path, 4, "node file")
-    try:
-        ids = list(map(int, raw_ids))
-    except ValueError:  # each id alone, for the check that names the bad one
-        ids = list(map(_integer, raw_ids))
+    ids = list(map(_integer, raw_ids))
     codes = list(map(_TYPE_CODES.get, zip(kinds, categories)))
-    if error or None in ids or None in codes or any(map(str.__contains__, names, repeat("\t"))) \
-            or len(set(ids)) < len(ids):  # some check fails: name the earliest line it rejects
-        _raise_first("node file", linenos, [
-            (list(map(is_not, ids, repeat(None))), lambda k: f"bad node id {raw_ids[k]!r}"),
-            (list(map(_KIND_TOKENS.__contains__, kinds)), lambda k: f"unknown kind token {kinds[k]!r}"),
-            (list(map(is_not, codes, repeat(None))),
-             lambda k: f"manufacturer category must be '-', got {categories[k]!r}"
-             if kinds[k] == Kind.MANUFACTURER.value else f"unknown category token {categories[k]!r}"),
-            (["\t" not in name for name in names], lambda k: f"node name {names[k]!r} contains tab/newline"),
-            (_firsts(ids), lambda k: f"duplicate node id {ids[k]}"),
-        ], error)
+    _raise_first("node file", linenos, [
+        (list(map(is_not, ids, repeat(None))), lambda k: f"bad node id {raw_ids[k]!r}"),
+        (list(map(_KIND_TOKENS.__contains__, kinds)), lambda k: f"unknown kind token {kinds[k]!r}"),
+        (list(map(is_not, codes, repeat(None))),
+         lambda k: f"manufacturer category must be '-', got {categories[k]!r}"
+         if kinds[k] == Kind.MANUFACTURER.value else f"unknown category token {categories[k]!r}"),
+        (["\t" not in name for name in names], lambda k: f"node name {names[k]!r} contains tab/newline"),
+        (_firsts(ids), lambda k: f"duplicate node id {ids[k]}"),
+    ], error)
     p = len(ids)
     if not p:
         raise DataError(f"node file {path} is empty")
@@ -497,32 +479,27 @@ def _edge_chunk(buf: np.ndarray, at_byte: np.ndarray, start: int, end: int) -> n
     """`_edge_table` for the whole lines buf[start:end], which start and end
     with a newline; `at_byte` reads the words of `buf`."""
     b = buf[start:end]
-    # canonical lines, `src<TAB>dst` and nothing else: one byte below '0' ends each field
-    ends = np.flatnonzero(b < _ZERO)  # the newline before the first line, then each field's end
-    lengths, ends = np.diff(ends) - 1, ends[1:]
-    if not (ends.size % 2 == 0 and b.max() <= _NINE and ((lengths - 1).astype(np.uint64) < 8).all()
-            and (b[ends[0::2]] == _TAB).all() and (b[ends[1::2]] == _NEWLINE).all()):
-        newline = b == _NEWLINE
-        blank = newline | (b == _TAB) | (b == _SPACE)
-        # fields: `blank` changes at a field's first byte and at the byte after it
-        first, ends = (np.flatnonzero(blank[1:] != blank[:-1]) + 1).reshape(-1, 2).T
-        lengths = ends - first
-        valid = first.size % 2 == 0 and (lengths <= 8).all() and ((b - _ZERO < 10) | blank).all()
-        if valid:
-            # a line's two fields have no newline between them, and a newline follows the second
-            gap_newline = newline[ends[:-1]]  # the gap's first byte
-            wide = np.flatnonzero(first[1:] - ends[:-1] > 1)
-            if wide.size:
-                lines = np.flatnonzero(newline)
-                gap_newline[wide] = np.searchsorted(lines, ends[wide]) < np.searchsorted(lines, first[wide + 1])
-            valid = not gap_newline[0::2].any() and gap_newline[1::2].all()
-        if not valid:  # the first faulty line: it has other than two fields, or a field that is not 1-8 digits
-            bad_field = np.logical_or.reduceat(~blank & (b - _ZERO >= 10), first) | (lengths > 8)
-            _, line, fields = np.unique(np.cumsum(newline)[first], return_inverse=True, return_counts=True)
-            wrong_count = (fields != 2)[line]
-            k = int(np.argmax(bad_field | wrong_count))
-            fault = "expected 'src<TAB>dst'" if wrong_count[k] else "bad endpoint"
-            raise DataError(f"edge file line {np.count_nonzero(buf[8 : start + first[k]] == _NEWLINE) + 1}: {fault}")
+    newline = b == _NEWLINE
+    blank = newline | (b == _TAB) | (b == _SPACE)
+    # fields: `blank` changes at a field's first byte and at the byte after it
+    first, ends = (np.flatnonzero(blank[1:] != blank[:-1]) + 1).reshape(-1, 2).T
+    lengths = ends - first
+    valid = first.size % 2 == 0 and (lengths <= 8).all() and ((b - _ZERO < 10) | blank).all()
+    if valid:
+        # a line's two fields have no newline between them, and a newline follows the second
+        gap_newline = newline[ends[:-1]]  # the gap's first byte
+        wide = np.flatnonzero(first[1:] - ends[:-1] > 1)
+        if wide.size:
+            lines = np.flatnonzero(newline)
+            gap_newline[wide] = np.searchsorted(lines, ends[wide]) < np.searchsorted(lines, first[wide + 1])
+        valid = not gap_newline[0::2].any() and gap_newline[1::2].all()
+    if not valid:  # the first faulty line: it has other than two fields, or a field that is not 1-8 digits
+        bad_field = np.logical_or.reduceat(~blank & (b - _ZERO >= 10), first) | (lengths > 8)
+        _, line, fields = np.unique(np.cumsum(newline)[first], return_inverse=True, return_counts=True)
+        wrong_count = (fields != 2)[line]
+        k = int(np.argmax(bad_field | wrong_count))
+        fault = "expected 'src<TAB>dst'" if wrong_count[k] else "bad endpoint"
+        raise DataError(f"edge file line {np.count_nonzero(buf[8 : start + first[k]] == _NEWLINE) + 1}: {fault}")
     # each field as the word of the 8 bytes that end with it, the bytes before
     # it cleared, turned into its value by SWAR digit pairing
     words = at_byte[start + ends - 8] & _RUN_MASKS[lengths]
@@ -638,7 +615,9 @@ def load_services(services_file: Path | str) -> list[tuple[str, ServiceCategory]
 
 def load_service_edges(edges_file: Path | str) -> list[tuple[str, str]]:
     """Read service-service edges: one `name<TAB>name` record per line."""
-    return [(a, b) for _, (a, b) in read_records(edges_file, 2, "service-edges file")]
+    linenos, (sources, targets), error = _records(edges_file, 2, "service-edges file")
+    _raise_first("service-edges file", linenos, [], error)
+    return list(zip(sources, targets))
 
 
 def build_from_corpus(

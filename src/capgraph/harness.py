@@ -163,25 +163,24 @@ class RunArtifacts:
 
 
 def build_features(
-    graph: Graph | AugmentedGraph,
+    graph: Graph,
     use_fa: bool,
     embedding: EmbeddingConfig,
     tsne: TsneConfig,
     seed: int,
-    paragraphs_from: Graph | AugmentedGraph | None = None,
+    paragraphs_from: Graph | None = None,
 ) -> FeatureBundle:
     """Type-code features, with plane embeddings of neighbor-name paragraphs
     on manufacturer rows when feature aggregation is on. The paragraphs come
     from `paragraphs_from` (default: `graph`), which must number the
     manufacturers as `graph` does."""
-    g = graph.graph if isinstance(graph, AugmentedGraph) else graph
-    codes = init_type_codes(g)
+    codes = init_type_codes(graph)
     if not use_fa:
-        return FeatureBundle(integrate_features(codes, None, g.is_manufacturer))
+        return FeatureBundle(integrate_features(codes, None, graph.is_manufacturer))
     paragraphs = build_neighbor_paragraphs(graph if paragraphs_from is None else paragraphs_from)
     f1 = train_paragraph_vectors(paragraphs, **asdict(embedding), seed=seed)
     f2 = reduce_to_plane(f1, **asdict(tsne), seed=seed)
-    return FeatureBundle(integrate_features(codes, f2, g.is_manufacturer), f1, f2)
+    return FeatureBundle(integrate_features(codes, f2, graph.is_manufacturer), f1, f2)
 
 
 def run_single(
@@ -199,7 +198,7 @@ def run_single(
         aug = oversample(task, split, replace(pipeline.seng, seed=seed))
     else:
         aug = without_oversampling(task, split)
-    bundle = build_features(aug, method.use_fa, pipeline.embedding, pipeline.tsne, seed)
+    bundle = build_features(aug.graph, method.use_fa, pipeline.embedding, pipeline.tsne, seed)
     train_cfg = replace(pipeline.train, seed=seed)
     params, log = train_node_classifier(aug, bundle.features, aug.split, train_cfg, method.encoder)
     probs, _ = forward(bundle.features, aug.graph, params)  # reuses the graph's blocks from training
@@ -332,21 +331,15 @@ def sweep(
     """
     if spec.axis == "os" and not method.use_seng:
         raise DataError("OS sweep requires a SENG-enabled method")
-    cells = []
-    for value in spec.values:
-        if spec.axis == "os":
-            cell_pipeline = replace(pipeline, seng=replace(pipeline.seng, oversampling_scale=value))
-            cell_task = task
-        else:
-            cell_pipeline = replace(pipeline, seng=replace(pipeline.seng, oversampling_scale=1.0))
-            current = compute_imbalance(task.labels).imbalance_ratio
-            if abs(value - current) < 1e-9:
-                cell_task = task
-            else:
-                cell_task = downsample_to_ratio(task, value, spec.base_seed)
-        report = run_method(cell_task, method, cell_pipeline, spec.repeats, spec.base_seed)
-        cells.append(SweepCell(value, report))
-    return cells
+    if spec.axis == "os":
+        grid = [(task, replace(pipeline, seng=replace(pipeline.seng, oversampling_scale=v))) for v in spec.values]
+    else:  # every cell's task before the first run, so that an unreachable ratio fails at once
+        current = compute_imbalance(task.labels).imbalance_ratio
+        pinned = replace(pipeline, seng=replace(pipeline.seng, oversampling_scale=1.0))
+        grid = [(task if abs(v - current) < 1e-9 else downsample_to_ratio(task, v, spec.base_seed), pinned)
+                for v in spec.values]
+    return [SweepCell(value, run_method(cell_task, method, cell_pipeline, spec.repeats, spec.base_seed))
+            for value, (cell_task, cell_pipeline) in zip(spec.values, grid)]
 
 
 def results_rows(

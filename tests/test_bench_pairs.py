@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,3 +68,15 @@ def test_the_failure_rule_compares_each_side_share_of_failed_operations():
     assert lines[-1] == "  failed ops   change 8 of 40 (20.00%)  failure rule does not hold: more operations failed"
     lines = summarize(_records([20.0] * 4, [15.0] * 4, failed=(1, 1)), BETTER, BOUNDS)
     assert lines[-1] == "  failed ops   change 4 of 40 (10.00%)  failure rule holds"
+
+
+def test_summarize_reads_the_benchmark_file_of_its_own_repository_from_any_directory(tmp_path, monkeypatch, capsys):
+    records = _records([20.0] * 10, [15.0] * 10, auc=(0.8, 0.67))
+    (tmp_path / "pairs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # no BENCHMARK.json here
+    assert _bench_pairs().main(["--summarize", "pairs.jsonl"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "final w: 10 pairs, 0 with an incorrect run"
+    # the metrics in BENCHMARK.json's order, each with its bound from there
+    assert lines[1].startswith("  predict_ms") and lines[1].endswith("won 10/10  gain rule holds  within its 25% bound")
+    assert lines[2].startswith("  auc_roc") and lines[2].endswith("worse than its 15% bound")

@@ -264,7 +264,7 @@ def test_paragraph_synthetic_nodes_included():
     split = stratified_split(task.labels, (0.5, 0.25, 0.25), seed=0)
     aug = oversample(task, split, SengConfig(oversampling_scale=1.0, seed=1, alpha_choices=(2,)))
     assert aug.num_synthetic > 0
-    paragraphs = build_neighbor_paragraphs(aug)
+    paragraphs = build_neighbor_paragraphs(aug.graph)
     rec = aug.synthetic[0]
     expected = []
     for s in aug.graph.neighbors[rec.node]:

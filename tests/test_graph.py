@@ -16,6 +16,7 @@ from capgraph.graph import (
     ServiceCategory,
     Split,
     _edge_table,
+    _records,
     append_edges,
     build_from_corpus,
     compute_imbalance,
@@ -25,7 +26,6 @@ from capgraph.graph import (
     load_saved_graph,
     manufacturer,
     mask_target,
-    read_records,
     restore_target,
     save_graph,
     service,
@@ -100,11 +100,13 @@ def test_load_graph_requires_contiguous_ids(tmp_path):
 
 def test_read_records_skips_blank_lines_and_keeps_the_rest_of_the_line(tmp_path):
     path = _write(tmp_path, "r.tsv", "a\tb\tc\n\n \t \nx\ty\nlonely\n")
-    records = read_records(path, 2, "pair file")
+    linenos, columns, error = _records(path, 2, "pair file")
+    records = zip(linenos, map(list, zip(*columns)))
     assert next(records) == (1, ["a", "b\tc"])
     assert next(records) == (4, ["x", "y"])
+    assert next(records, None) is None  # the records stop at the short line
     with pytest.raises(DataError, match=r"pair file .*r\.tsv line 5: expected 2 tab-separated fields, got 1"):
-        next(records)
+        raise error
 
 
 def test_load_graph_reports_the_first_bad_node_line_before_a_later_decode_error(tmp_path):
@@ -463,6 +465,93 @@ def test_node_file_reports_the_earliest_faulty_line(tmp_path):
     nodes = _write(tmp_path, "n.tsv", "".join(lines))
     with pytest.raises(DataError, match=r"^node file line 2: bad node id 'x'$"):
         load_graph(nodes, _write(tmp_path, "e.tsv", ""))
+
+
+_NODE_CATEGORIES = ("-", "industry", "process", "material", "certification")  # by type code
+
+
+def _node_lines(text: str, path) -> list[tuple[int, str]] | str:
+    """Per id, the type code and name of a node file's lines, each taken
+    alone; or the message for the first faulty line, or for the file."""
+    rows: dict[int, tuple[int, str]] = {}
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t", 3)
+        if len(parts) < 4:
+            return f"node file {path} line {lineno}: expected 4 tab-separated fields, got {len(parts)}"
+        raw_id, kind, category, name = parts
+        try:
+            node = int(raw_id)
+        except ValueError:
+            return f"node file line {lineno}: bad node id {raw_id!r}"
+        if kind not in ("manufacturer", "service"):
+            return f"node file line {lineno}: unknown kind token {kind!r}"
+        if kind == "manufacturer" and category != "-":
+            return f"node file line {lineno}: manufacturer category must be '-', got {category!r}"
+        if kind == "service" and category not in _NODE_CATEGORIES[1:]:
+            return f"node file line {lineno}: unknown category token {category!r}"
+        if "\t" in name:
+            return f"node file line {lineno}: node name {name!r} contains tab/newline"
+        if node in rows:
+            return f"node file line {lineno}: duplicate node id {node}"
+        rows[node] = (_NODE_CATEGORIES.index(category), name)
+    if not rows:
+        return f"node file {path} is empty"
+    if sorted(rows) != list(range(len(rows))):
+        return f"node ids must be contiguous 0..{len(rows) - 1}"
+    return [rows[j] for j in range(len(rows))]
+
+
+_NODE_TYPES = [("manufacturer", "-"), *(("service", c) for c in _NODE_CATEGORIES[1:])]
+# a fault per line: an id that repeats one or is not a plain integer, unknown
+# kind or category tokens, a tab in the name, or fewer than four fields
+_NODE_FAULTS = st.one_of(
+    st.tuples(st.just(0), st.sampled_from(["0", "1", "2", "+0", " 1", "01", "1_0", "-1", "9"])),
+    st.tuples(st.just(0), st.sampled_from(["x", "", "1.0", "1 2", "0x1"])),
+    st.tuples(st.just(1), st.sampled_from([("manufacturer", "process"), ("service", "-"), ("widget", "-"),
+                                            ("service", "metal"), ("Service", "process")])),
+    st.tuples(st.just(3), st.sampled_from(["x\ty", "\t", "a\tb\tc"])),
+    st.tuples(st.just(None), st.integers(0, 3)),
+)
+
+
+@st.composite
+def _node_files(draw) -> str:
+    """Node file text: the ids 0..n-1 shuffled, up to two faulty lines, and
+    LF, CR or CRLF line ends, some with blank lines after them."""
+    n = draw(st.integers(0, 6))
+    rows = [[str(j), *draw(st.sampled_from(_NODE_TYPES)), draw(st.sampled_from(["a", "b c", "", "é"]))]
+            for j in draw(st.permutations(range(n)))]
+    keep = [4] * n  # the fields each line keeps
+    faults = draw(st.lists(st.tuples(st.integers(0, n - 1), _NODE_FAULTS), max_size=2)) if n else []
+    for at, (field, value) in faults:
+        if field is None:
+            keep[at] = value
+        elif field == 1:
+            rows[at][1:3] = value
+        else:
+            rows[at][field] = value
+    ends = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n", "\n\n", "\r\n \t\r\n", "\n\r"]), min_size=n, max_size=n))
+    text = "".join("\t".join(row[:k]) + end for row, k, end in zip(rows, keep, ends))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_node_files())
+def test_node_file_reads_the_columns_the_line_parser_reads(tmp_path_factory, text):
+    folder = tmp_path_factory.mktemp("nodes")
+    nodes, edges = folder / "n.tsv", folder / "e.tsv"
+    nodes.write_bytes(text.encode())
+    edges.write_bytes(b"")
+    want = _node_lines(text, nodes)
+    if isinstance(want, str):
+        with pytest.raises(DataError) as err:
+            load_graph(nodes, edges)
+        assert str(err.value) == want
+    else:
+        g = load_graph(nodes, edges)
+        assert list(zip(g.codes.tolist(), g.names)) == want
 
 
 # ---------------------------------------------------------------------------

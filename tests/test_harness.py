@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from capgraph import harness
 from capgraph.errors import DataError
 from capgraph.features import EmbeddingConfig, TsneConfig
 from capgraph.graph import compute_imbalance, mask_target
@@ -202,6 +203,22 @@ def test_sweep_ratio_includes_original_dataset():
         task, MethodSpec(True, False), fast_pipeline(os_scale=1.0), repeats=3, base_seed=3
     )
     assert report_content(cells[1].report) == report_content(unchanged)
+
+
+def test_sweep_ratio_checks_its_whole_grid_before_any_run(monkeypatch):
+    task = small_task(3)
+    assert 0.1 < compute_imbalance(task.labels).imbalance_ratio < 0.99
+    runs = []
+    real_run_single = harness.run_single
+
+    def counted_run_single(*args):
+        runs.append(args[-1])
+        return real_run_single(*args)
+
+    monkeypatch.setattr(harness, "run_single", counted_run_single)
+    with pytest.raises(DataError, match="cannot downsample upward: target 0.99"):
+        sweep(task, MethodSpec(False, False), SweepSpec("ratio", (0.1, 0.99)), fast_pipeline())
+    assert runs == []
 
 
 def test_sweep_spec_validation():
