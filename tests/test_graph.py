@@ -448,6 +448,17 @@ def test_edge_table_reads_the_plain_files_the_line_parser_reads(text):
         assert _edge_table(text.encode()).tolist() == [list(e) for e in want]
 
 
+@pytest.mark.parametrize("at, line, fault", [
+    (15000, b"0\tx\n", "bad endpoint"),
+    (19999, b"5\n", "expected 'src<TAB>dst'"),  # the last line
+])
+def test_edge_table_names_a_faulty_line_past_the_first_chunk(at, line, fault):
+    lines = [b"0\t1\n"] * 20000  # 80 KB, parsed in more than one chunk
+    lines[at] = line
+    with pytest.raises(DataError, match=f"^edge file line {at + 1}: {fault}$"):
+        _edge_table(b"".join(lines))
+
+
 @pytest.mark.parametrize("text", [
     "1\tservice\tprocess\tb\n0\tmanufacturer\t-\ta\n",  # ids out of order
     "0\tmanufacturer\t-\ta\r\n\r\n1\tservice\tprocess\tb\r\n",  # CRLF, a blank line
