@@ -449,8 +449,8 @@ def load_graph(node_file: Path | str, edge_file: Path | str) -> Graph:
         raise DataError(f"edge file line {line}: {exc.fault}") from None
 
 
-# Small chunks keep the temporaries of each pass small. At 64 KB, later calls
-# in the same process (`predict` after two `train` loads) ran about 40% slower.
+# Small chunks keep each pass's temporaries small: at 64 KB, later `predict`
+# calls in the same process ran about 40% slower (4,120 nodes, 2 vCPUs).
 _CHUNK_BYTES = 1 << 15
 _RUN_MASKS = np.array([2**64 - 2 ** (64 - 8 * n) for n in range(9)], dtype=np.uint64)  # the top n bytes
 
